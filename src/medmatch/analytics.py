@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market import DOCTOR, PATIENT, Market, PreferenceList
+from .market import DOCTOR, PATIENT, Market, PreferenceList, category_from_rankings
+from .mechanisms import ramhecs_category
 
 PRESET_PROBABILITIES = {
     "none": 0.0,
@@ -104,8 +105,8 @@ def estimate_total_distance(
 ) -> EstimateResult:
     """Sample mean of the total original-list distance over all n patients.
 
-    model="mechanism" replays the randomized mechanism's dynamics on random
-    full balanced preference profiles (random patient order, random
+    model="mechanism" runs the randomized mechanism (ramhecs_category) on
+    random full balanced preference profiles (random patient order, random
     still-available listed doctor), scoring each patient by the chosen
     doctor's index in that patient's original list. model="stylized" draws
     the pick index uniformly over the remaining-list length instead.
@@ -124,16 +125,12 @@ def estimate_total_distance(
             samples.append(sum(rng.randrange(n - i) for i in range(n)))
             continue
         prefs = [rng.sample(doctors, n) for _ in range(n)]
-        position = [{d: i for i, d in enumerate(pl)} for pl in prefs]
-        available = set(doctors)
-        pending = list(range(n))
-        total = 0
-        while pending:
-            t = pending.pop(rng.randrange(len(pending)))
-            choice = rng.choice([d for d in prefs[t] if d in available])
-            available.remove(choice)
-            total += position[t][choice]
-        samples.append(total)
+        # Every doctor lists every patient, so only the patients' lists
+        # constrain the mechanism, which continues the same RNG stream.
+        cm = category_from_rankings(0, prefs, [doctors] * n)
+        pairs, _ = ramhecs_category(cm, rng)
+        ranks = cm.views[PATIENT].ranks
+        samples.append(sum(ranks[p.ordinal][d.ordinal] for p, d in pairs))
     return _summarize(samples, {"n": n, "model": model})
 
 

@@ -22,7 +22,7 @@ from .market import (
     MarketFormatError,
     load_market,
 )
-from .mechanisms import tomhecs
+from .mechanisms import TOMHECS, run_categories
 
 
 def _add_run(subparsers):
@@ -116,7 +116,8 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     with open(args.market, "rb") as handle:
         market = load_market(handle.read())
-    matching, _ = tomhecs(market, args.side)
+    # load_market has validated the market.
+    matching, _ = run_categories(market, TOMHECS, args.side)
     failed = False
     if args.property == "stability":
         for cm in market.categories:

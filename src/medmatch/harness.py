@@ -16,7 +16,7 @@ from statistics import fmean, stdev
 
 from .analytics import PRESET_PROBABILITIES, PerturbationSpec, perturb_preferences
 from .market import DOCTOR, FULL, MODES, PARTIAL, PATIENT, Market, opposite
-from .mechanisms import MECHANISMS, Matching, run_mechanism
+from .mechanisms import MECHANISMS, Matching, run_categories
 from .market import generate_random_market
 from .metrics import preferable_allocation_count, satisfaction_level
 
@@ -148,7 +148,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         }
         for mechanism in config.mechanisms:
             for preset in config.presets:
-                matching, stats = run_mechanism(
+                # Generated and perturbed markets are valid by construction.
+                matching, stats = run_categories(
                     perturbed[preset],
                     mechanism,
                     config.proposing_side,
@@ -160,8 +161,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     # Scored against the TRUE preferences, not the misreports.
                     eta_by_cat, _ = satisfaction_level(market, matching, side)
                     zeta_by_cat, _ = preferable_allocation_count(market, matching, side)
-                    for cm in market.categories:
-                        trace = stats.for_category(cm.category)
+                    for cm, trace in zip(market.categories, stats.per_category):
                         result.rows.append(
                             ResultRow(
                                 rep=rep,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 PATIENT = "patient"
 DOCTOR = "doctor"
@@ -68,11 +70,17 @@ class PreferenceList:
     owner: AgentId
     ranking: tuple[AgentId, ...]
 
-    def rank_of(self, agent: AgentId) -> int | None:
-        try:
-            return self.ranking.index(agent)
-        except ValueError:
-            return None
+
+class SideView(NamedTuple):
+    """One side of a category in roster ordinals.
+
+    prefs[a] is agent a's list as opposite-roster ordinals, best first;
+    ranks[a][c] is counterpart c's 0-based rank on that list, None when
+    a does not list c.
+    """
+
+    prefs: list[list[int]]
+    ranks: list[list[int | None]]
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,26 @@ class CategoryMarket:
 
     def prefs(self, side: str) -> tuple[PreferenceList, ...]:
         return self.patient_prefs if side == PATIENT else self.doctor_prefs
+
+    @cached_property
+    def views(self) -> dict[str, SideView]:
+        """The integer view of each side, built once per category object.
+
+        dataclasses.replace makes a new object, so a perturbed category
+        never shares its original's view.
+        """
+        # Every rank is taken from one shared list, so the tables hold
+        # references to the same int objects rather than one int per entry.
+        ints = list(range(max(len(self.patients), len(self.doctors))))
+        views = {}
+        for side in SIDES:
+            prefs = [[e.ordinal for e in pl.ranking] for pl in self.prefs(side)]
+            ranks = [[None] * len(self.roster(opposite(side))) for _ in prefs]
+            for row, table in zip(prefs, ranks):
+                for rank, counterpart in zip(ints, row):
+                    table[counterpart] = rank
+            views[side] = SideView(prefs, ranks)
+        return views
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .market import (
     DOCTOR,
     PATIENT,
+    SIDES,
     AgentId,
     CategoryMarket,
     InvalidMarketError,
@@ -82,21 +83,23 @@ class Matching:
     def matched_count(self, category: int) -> int:
         return len(self.by_category[category])
 
-
-def _require_valid(market: Market) -> None:
-    violations = validate_market(market)
-    if violations:
-        raise InvalidMarketError("; ".join(violations))
-
-
-def _ordinal_prefs(cm: CategoryMarket, side: str) -> list[list[int]]:
-    return [[e.ordinal for e in pl.ranking] for pl in cm.prefs(side)]
-
-
-def _rank_tables(cm: CategoryMarket, side: str) -> list[dict[int, int]]:
-    return [
-        {e.ordinal: r for r, e in enumerate(pl.ranking)} for pl in cm.prefs(side)
-    ]
+    def partners(self, cm: CategoryMarket) -> dict[str, list[int | None]]:
+        """Each agent's partner ordinal in category cm, per side; None when
+        unmatched. Raises ValueError for a pair naming an agent not on cm's
+        rosters.
+        """
+        partner: dict[str, list[int | None]] = {
+            PATIENT: [None] * len(cm.patients),
+            DOCTOR: [None] * len(cm.doctors),
+        }
+        for p, d in self.by_category[cm.category]:
+            i, j = p.ordinal, d.ordinal
+            # Slicing, not indexing: an ordinal off the roster gives an empty slice.
+            if cm.patients[i : i + 1] != (p,) or cm.doctors[j : j + 1] != (d,):
+                raise ValueError(f"matching references unknown agents ({p!r}, {d!r})")
+            partner[PATIENT][i] = j
+            partner[DOCTOR][j] = i
+        return partner
 
 
 def ramhecs_category(
@@ -104,9 +107,9 @@ def ramhecs_category(
 ) -> tuple[frozenset[tuple[AgentId, AgentId]], CategoryTrace]:
     """Randomized pairing: random unmatched patient, random available listed doctor."""
     trace = CategoryTrace(cm.category)
-    prefs = _ordinal_prefs(cm, PATIENT)
+    prefs = cm.views[PATIENT].prefs
     # Mutual acceptability: a doctor is only a candidate for patients it lists.
-    doctor_lists = [set(e.ordinal for e in pl.ranking) for pl in cm.doctor_prefs]
+    doctor_ranks = cm.views[DOCTOR].ranks
     available = set(range(len(cm.doctors)))
     active = list(range(len(cm.patients)))
     pairs = []
@@ -114,7 +117,9 @@ def ramhecs_category(
         trace.outer_iterations += 1
         pos = rng.randrange(len(active))
         t = active[pos]
-        candidates = [d for d in prefs[t] if d in available and t in doctor_lists[d]]
+        candidates = [
+            d for d in prefs[t] if d in available and doctor_ranks[d][t] is not None
+        ]
         if not candidates:
             # Exhausted patient (partial lists): stays permanently unmatched.
             active.pop(pos)
@@ -125,19 +130,6 @@ def ramhecs_category(
         active.pop(pos)
         available.remove(d)
     return frozenset(pairs), trace
-
-
-def ramhecs(market: Market, seed: int | str = 0) -> tuple[Matching, TraceStats]:
-    """Randomized baseline mechanism; deterministic per seed."""
-    _require_valid(market)
-    by_category = {}
-    stats = TraceStats()
-    for cm in market.categories:
-        rng = random.Random(f"{seed}:ramhecs:{cm.category}")
-        pairs, trace = ramhecs_category(cm, rng)
-        by_category[cm.category] = pairs
-        stats.per_category.append(trace)
-    return Matching(by_category), stats
 
 
 def tomhecs_category(
@@ -156,8 +148,8 @@ def tomhecs_category(
     trace = CategoryTrace(cm.category)
     proposers = cm.roster(proposing_side)
     receivers = cm.roster(opposite(proposing_side))
-    prefs = _ordinal_prefs(cm, proposing_side)
-    ranks = _rank_tables(cm, opposite(proposing_side))
+    prefs = cm.views[proposing_side].prefs
+    ranks = cm.views[opposite(proposing_side)].ranks
 
     next_choice = [0] * len(proposers)
     engaged_to: list[int | None] = [None] * len(proposers)  # receiver held by proposer
@@ -177,7 +169,7 @@ def tomhecs_category(
                 events.append(
                     ("propose", trace.outer_iterations + 1, proposers[p], receivers[r])
                 )
-            if p not in ranks[r]:
+            if ranks[r][p] is None:
                 # Receiver does not list this proposer: immediate rejection.
                 trace.rejections += 1
                 if events is not None:
@@ -221,20 +213,52 @@ def tomhecs_category(
     return frozenset(pairs), trace
 
 
+def run_categories(
+    market: Market,
+    mechanism: str,
+    proposing_side: str = PATIENT,
+    seed: int | str = 0,
+    record_trace: bool = False,
+) -> tuple[Matching, TraceStats]:
+    """Run one mechanism on every category of a market that is already
+    known to be valid: generated, perturbed, loaded or checked by a public
+    entry point. This loop does not validate.
+    """
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    if proposing_side not in SIDES:
+        raise ValueError(f"unknown proposing side {proposing_side!r}")
+    by_category = {}
+    stats = TraceStats(events=[] if record_trace else None)
+    for cm in market.categories:
+        if mechanism == RAMHECS:
+            rng = random.Random(f"{seed}:ramhecs:{cm.category}")
+            pairs, trace = ramhecs_category(cm, rng)
+        else:
+            pairs, trace = tomhecs_category(cm, proposing_side, stats.events)
+        by_category[cm.category] = pairs
+        stats.per_category.append(trace)
+    return Matching(by_category), stats
+
+
+def _validated_run(market: Market, *args, **kwargs) -> tuple[Matching, TraceStats]:
+    """The public entry points' path: validate once, then run the loop."""
+    violations = validate_market(market)
+    if violations:
+        raise InvalidMarketError("; ".join(violations))
+    return run_categories(market, *args, **kwargs)
+
+
+def ramhecs(market: Market, seed: int | str = 0) -> tuple[Matching, TraceStats]:
+    """Randomized baseline mechanism; deterministic per seed."""
+    return _validated_run(market, RAMHECS, seed=seed)
+
+
 def tomhecs(
     market: Market, proposing_side: str = PATIENT, record_trace: bool = False
 ) -> tuple[Matching, TraceStats]:
     """Deferred acceptance over every category; deterministic, no randomness."""
-    if proposing_side not in (PATIENT, DOCTOR):
-        raise ValueError(f"unknown proposing side {proposing_side!r}")
-    _require_valid(market)
-    by_category = {}
-    stats = TraceStats(events=[] if record_trace else None)
-    for cm in market.categories:
-        pairs, trace = tomhecs_category(cm, proposing_side, stats.events)
-        by_category[cm.category] = pairs
-        stats.per_category.append(trace)
-    return Matching(by_category), stats
+    return _validated_run(market, TOMHECS, proposing_side, record_trace=record_trace)
 
 
 def run_mechanism(
@@ -243,9 +267,5 @@ def run_mechanism(
     proposing_side: str = PATIENT,
     seed: int | str = 0,
 ) -> tuple[Matching, TraceStats]:
-    """Uniform dispatch for the experiment harness."""
-    if mechanism == RAMHECS:
-        return ramhecs(market, seed)
-    if mechanism == TOMHECS:
-        return tomhecs(market, proposing_side)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    """Uniform dispatch: validate the market, then run the mechanism."""
+    return _validated_run(market, mechanism, proposing_side, seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .market import DOCTOR, PATIENT, Market
+from .market import DOCTOR, PATIENT, CategoryMarket, Market, opposite
 from .mechanisms import Matching
 
 
@@ -29,14 +29,30 @@ class MetricsReport:
         return sum(self.zeta_by_category.values())
 
 
-def _assignments(market, matching, side):
-    for cm in market.categories:
-        p_to_d, d_to_p = matching.as_maps(cm.category)
-        partner_of = p_to_d if side == PATIENT else d_to_p
-        yield cm, [
-            (agent, plist, partner_of.get(agent))
-            for agent, plist in zip(cm.roster(side), cm.prefs(side))
-        ]
+def partner_ranks(
+    cm: CategoryMarket, partners: dict[str, list[int | None]], side: str
+) -> list[int]:
+    """Each `side` agent's 0-based rank of its partner on its own list.
+
+    partners is Matching.partners(cm). Being unmatched scores the list
+    length: one worse than the last choice. Raises ValueError for a partner
+    the agent does not list.
+    """
+    view = cm.views[side]
+    scores = []
+    for agent, (partner, row, ranks) in enumerate(
+        zip(partners[side], view.prefs, view.ranks)
+    ):
+        if partner is None:
+            scores.append(len(row))
+        elif ranks[partner] is None:
+            counterpart = cm.roster(opposite(side))[partner]
+            raise ValueError(
+                f"{cm.roster(side)[agent]!r} matched to {counterpart!r} absent from its list"
+            )
+        else:
+            scores.append(ranks[partner])
+    return scores
 
 
 def satisfaction_level(
@@ -47,20 +63,10 @@ def satisfaction_level(
     An unmatched agent contributes its full list length: one worse than its
     last-ranked choice.
     """
-    per_category = {}
-    for cm, rows in _assignments(market, matching, side):
-        eta = 0
-        for agent, plist, partner in rows:
-            if partner is None:
-                eta += len(plist.ranking)
-                continue
-            rank = plist.rank_of(partner)
-            if rank is None:
-                raise ValueError(
-                    f"{agent!r} matched to {partner!r} absent from its list"
-                )
-            eta += rank
-        per_category[cm.category] = eta
+    per_category = {
+        cm.category: sum(partner_ranks(cm, matching.partners(cm), side))
+        for cm in market.categories
+    }
     return per_category, sum(per_category.values())
 
 
@@ -69,19 +75,13 @@ def preferable_allocation_count(
 ) -> tuple[dict[int, int], int]:
     """Per-category zeta (first-choice allocations) and the aggregate."""
     per_category = {}
-    for cm, rows in _assignments(market, matching, side):
-        zeta = 0
-        for agent, plist, partner in rows:
-            if partner is None:
-                continue
-            rank = plist.rank_of(partner)
-            if rank is None:
-                raise ValueError(
-                    f"{agent!r} matched to {partner!r} absent from its list"
-                )
-            if rank == 0:
-                zeta += 1
-        per_category[cm.category] = zeta
+    for cm in market.categories:
+        scores = partner_ranks(cm, matching.partners(cm), side)
+        # Score 0 is a first choice only on a non-empty list: an unmatched
+        # agent with an empty list scores 0 as well.
+        per_category[cm.category] = sum(
+            score == 0 < len(row) for score, row in zip(scores, cm.views[side].prefs)
+        )
     return per_category, sum(per_category.values())
 
 

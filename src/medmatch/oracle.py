@@ -7,18 +7,21 @@ accordingly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import permutations
 
 from .market import (
     DOCTOR,
     PATIENT,
+    SIDES,
     AgentId,
     CategoryMarket,
     PreferenceList,
     opposite,
 )
 from .mechanisms import Matching, tomhecs_category
+from .metrics import partner_ranks
 
 ENUMERATION_LIMIT = 8
 MISREPORT_LIMIT = 5
@@ -38,17 +41,20 @@ class TruthfulnessReport:
     violations: list[tuple[tuple[AgentId, ...], AgentId | None, AgentId]]
 
 
-def _matching_maps(cm: CategoryMarket, matching: Matching):
-    patient_set = set(cm.patients)
-    doctor_set = set(cm.doctors)
-    p_to_d: dict[AgentId, AgentId] = {}
-    d_to_p: dict[AgentId, AgentId] = {}
-    for p, d in matching.pairs(cm.category):
-        if p not in patient_set or d not in doctor_set:
-            raise ValueError(f"matching references unknown agents ({p!r}, {d!r})")
-        p_to_d[p] = d
-        d_to_p[d] = p
-    return p_to_d, d_to_p
+def _blocking_ordinals(
+    cm: CategoryMarket, partners: dict[str, list[int | None]]
+) -> Iterator[tuple[int, int]]:
+    """(patient, doctor) ordinals of every blocking pair, in patient ordinal
+    then patient preference order."""
+    doctor_scores = partner_ranks(cm, partners, DOCTOR)
+    doctor_ranks = cm.views[DOCTOR].ranks
+    patient_prefs = cm.views[PATIENT].prefs
+    for p, cutoff in enumerate(partner_ranks(cm, partners, PATIENT)):
+        # Only doctors strictly above the current assignment can block.
+        for d in patient_prefs[p][:cutoff]:
+            rank = doctor_ranks[d][p]
+            if rank is not None and rank < doctor_scores[d]:
+                yield p, d
 
 
 def find_blocking_pairs(cm: CategoryMarket, matching: Matching) -> list[BlockingPair]:
@@ -57,21 +63,10 @@ def find_blocking_pairs(cm: CategoryMarket, matching: Matching) -> list[Blocking
     Being unmatched ranks below every listed counterpart. Pairs are
     returned in (patient ordinal, patient's preference rank) order.
     """
-    p_to_d, d_to_p = _matching_maps(cm, matching)
-    doctor_ranks = {pl.owner: {e: r for r, e in enumerate(pl.ranking)} for pl in cm.doctor_prefs}
-    blocking = []
-    for patient, plist in zip(cm.patients, cm.patient_prefs):
-        current = p_to_d.get(patient)
-        # Only doctors strictly above the current assignment can block.
-        cutoff = plist.ranking.index(current) if current is not None else len(plist.ranking)
-        for doctor in plist.ranking[:cutoff]:
-            ranks = doctor_ranks[doctor]
-            if patient not in ranks:
-                continue
-            held = d_to_p.get(doctor)
-            if held is None or ranks[patient] < ranks[held]:
-                blocking.append(BlockingPair(patient, doctor))
-    return blocking
+    return [
+        BlockingPair(cm.patients[p], cm.doctors[d])
+        for p, d in _blocking_ordinals(cm, matching.partners(cm))
+    ]
 
 
 def is_stable(cm: CategoryMarket, matching: Matching) -> bool:
@@ -81,14 +76,6 @@ def is_stable(cm: CategoryMarket, matching: Matching) -> bool:
 def is_perfect(cm: CategoryMarket, matching: Matching) -> bool:
     count = matching.matched_count(cm.category)
     return count == len(cm.patients) == len(cm.doctors)
-
-
-def _mutual_candidates(cm: CategoryMarket) -> list[list[int]]:
-    doctor_lists = [set(e.ordinal for e in pl.ranking) for pl in cm.doctor_prefs]
-    return [
-        [e.ordinal for e in pl.ranking if p in doctor_lists[e.ordinal]]
-        for p, pl in enumerate(cm.patient_prefs)
-    ]
 
 
 def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
@@ -103,44 +90,37 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
         raise ValueError(
             f"instance too large: max roster {max(n, m)} > {ENUMERATION_LIMIT}"
         )
-    mutual = _mutual_candidates(cm)
-    patient_ranks = [{e.ordinal: r for r, e in enumerate(pl.ranking)} for pl in cm.patient_prefs]
-    doctor_ranks = [{e.ordinal: r for r, e in enumerate(pl.ranking)} for pl in cm.doctor_prefs]
-    assignments: list[tuple[int, ...]] = []
+    doctor_ranks = cm.views[DOCTOR].ranks
+    mutual = [
+        sorted(d for d in row if doctor_ranks[d][p] is not None)
+        for p, row in enumerate(cm.views[PATIENT].prefs)
+    ]
+    # Grown patient by patient; -1 marks an unmatched patient.
     current: list[int] = []
-    free_doctors = set(range(m))
-
-    def is_maximal() -> bool:
-        for p, d in enumerate(current):
-            if d == -1 and any(x in free_doctors for x in mutual[p]):
-                return False
-        return True
-
-    def has_block() -> bool:
-        doctor_of = {d: p for p, d in enumerate(current) if d != -1}
-        for p in range(n):
-            d_cur = current[p]
-            limit = patient_ranks[p][d_cur] if d_cur != -1 else len(patient_ranks[p])
-            for d, r in patient_ranks[p].items():
-                if r >= limit or p not in doctor_ranks[d]:
-                    continue
-                held = doctor_of.get(d)
-                if held is None or doctor_ranks[d][p] < doctor_ranks[d][held]:
-                    return True
-        return False
+    doctor_of: list[int | None] = [None] * m
+    assignments: list[tuple[int, ...]] = []
 
     def recurse(p: int) -> None:
         if p == n:
-            if is_maximal() and not has_block():
+            # Not maximal: an unmatched patient and a free mutual doctor
+            # block. This cheap scan spares most leaves the full check.
+            for q, d in enumerate(current):
+                if d == -1 and None in [doctor_of[x] for x in mutual[q]]:
+                    return
+            partners = {
+                PATIENT: [None if d == -1 else d for d in current],
+                DOCTOR: doctor_of,
+            }
+            if not any(_blocking_ordinals(cm, partners)):
                 assignments.append(tuple(current))
             return
-        for d in sorted(mutual[p]):
-            if d in free_doctors:
-                free_doctors.remove(d)
+        for d in mutual[p]:
+            if doctor_of[d] is None:
+                doctor_of[d] = p
                 current.append(d)
                 recurse(p + 1)
                 current.pop()
-                free_doctors.add(d)
+                doctor_of[d] = None
         current.append(-1)
         recurse(p + 1)
         current.pop()
@@ -158,34 +138,17 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
     return result
 
 
-def _proposer_rank(plist: PreferenceList, partner: AgentId | None) -> int:
-    # Unmatched is strictly worse than every listed counterpart.
-    if partner is None:
-        return len(plist.ranking)
-    return plist.ranking.index(partner)
-
-
 def check_requesting_party_optimal(
     cm: CategoryMarket, matching: Matching, proposing_side: str
 ) -> bool:
     """True iff every proposer weakly prefers this matching to every stable one."""
     stable = enumerate_stable_matchings(cm)
-    proposers = cm.roster(proposing_side)
-    prefs = cm.prefs(proposing_side)
-
-    def partner_map(m: Matching) -> dict[AgentId, AgentId]:
-        p_to_d, d_to_p = _matching_maps(cm, m)
-        return p_to_d if proposing_side == PATIENT else d_to_p
-
-    ours = partner_map(matching)
-    for other in stable:
-        theirs = partner_map(other)
-        for agent, plist in zip(proposers, prefs):
-            if _proposer_rank(plist, ours.get(agent)) > _proposer_rank(
-                plist, theirs.get(agent)
-            ):
-                return False
-    return True
+    ours = partner_ranks(cm, matching.partners(cm), proposing_side)
+    return all(
+        mine <= theirs
+        for other in stable
+        for mine, theirs in zip(ours, partner_ranks(cm, other.partners(cm), proposing_side))
+    )
 
 
 def check_truthfulness_exhaustive(
@@ -201,30 +164,23 @@ def check_truthfulness_exhaustive(
         raise ValueError(
             f"instance too large: opposite roster {len(counterparts)} > {MISREPORT_LIMIT}"
         )
-    full = set(counterparts)
-    all_lists = list(cm.patient_prefs) + list(cm.doctor_prefs)
-    if any(set(pl.ranking) != (set(cm.doctors) if pl.owner.side == PATIENT else set(cm.patients)) for pl in all_lists):
+    if any(None in ranks for side in SIDES for ranks in cm.views[side].ranks):
         raise ValueError("misreport sweep requires full preference lists")
 
-    truthful_pairs, _ = tomhecs_category(cm, proposing_side)
-    truthful_matching = Matching({cm.category: truthful_pairs})
+    def outcome(category: CategoryMarket) -> dict[str, list[int | None]]:
+        pairs, _ = tomhecs_category(category, proposing_side)
+        return Matching({cm.category: pairs}).partners(cm)
 
-    def partner_of(matching: Matching, agent: AgentId) -> AgentId | None:
-        p_to_d, d_to_p = _matching_maps(cm, matching)
-        return (p_to_d if proposing_side == PATIENT else d_to_p).get(agent)
-
+    truthful = outcome(cm)
+    # Every outcome is scored on cm, the TRUE preferences.
+    truthful_scores = partner_ranks(cm, truthful, proposing_side)
     reports = []
     for idx, (agent, plist) in enumerate(zip(proposers, prefs)):
-        true_rank = {e: r for r, e in enumerate(plist.ranking)}
-        truthful_partner = partner_of(truthful_matching, agent)
-        truthful_score = (
-            true_rank[truthful_partner]
-            if truthful_partner is not None
-            else len(plist.ranking)
-        )
+        partner = truthful[proposing_side][idx]
+        truthful_partner = None if partner is None else counterparts[partner]
         violations = []
         tried = 0
-        for perm in permutations(sorted(full, key=lambda a: a.ordinal)):
+        for perm in permutations(counterparts):
             if perm == plist.ranking:
                 continue
             tried += 1
@@ -234,14 +190,9 @@ def check_truthfulness_exhaustive(
                 altered = replace(cm, patient_prefs=tuple(lists))
             else:
                 altered = replace(cm, doctor_prefs=tuple(lists))
-            pairs, _ = tomhecs_category(altered, proposing_side)
-            new_partner = partner_of(Matching({cm.category: pairs}), agent)
-            new_score = (
-                true_rank[new_partner]
-                if new_partner is not None
-                else len(plist.ranking)
-            )
-            if new_score < truthful_score:
+            partners = outcome(altered)
+            if partner_ranks(cm, partners, proposing_side)[idx] < truthful_scores[idx]:
+                new_partner = counterparts[partners[proposing_side][idx]]
                 violations.append((perm, truthful_partner, new_partner))
         reports.append(TruthfulnessReport(agent, tried, violations))
     return reports

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import medmatch.market
+import medmatch.mechanisms
 from medmatch import generate_random_market, run_mechanism
 from medmatch.analytics import PerturbationSpec, perturb_preferences
 from medmatch.harness import (
@@ -64,6 +66,25 @@ def test_single_rep_matches_direct_calls():
         assert row.zeta == zeta_by_cat[row.category]
         assert row.proposals == stats.for_category(row.category).proposals
         assert row.matched_count == matching.matched_count(row.category)
+
+
+def test_run_experiment_does_not_validate(monkeypatch):
+    # Generated and perturbed markets are valid by construction.
+    calls = []
+    original = medmatch.market.validate_market
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (medmatch.market, medmatch.mechanisms):
+        monkeypatch.setattr(module, "validate_market", counting)
+    config = small_config(mechanisms=("ramhecs", "tomhecs"), presets=("none", "large"))
+    assert run_experiment(config).rows
+    assert calls == []
+    # The counter does see the public entry points' validation.
+    run_mechanism(generate_random_market(1, 3, 3, seed=0), "ramhecs")
+    assert len(calls) == 1
 
 
 def test_row_grid_shape_and_order():

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from medmatch import (
     Market,
     MarketFormatError,
+    PerturbationSpec,
     PreferenceList,
     generate_random_market,
     load_market,
     market_from_rankings,
+    perturb_preferences,
     store_market,
     validate_market,
 )
-from medmatch.market import DOCTOR, FULL, PARTIAL, PATIENT
+from medmatch.market import DOCTOR, FULL, PARTIAL, PATIENT, opposite
 
 
 def test_reference_market_is_valid(ref_market):
@@ -89,16 +91,40 @@ def test_generator_rejects_oversized_lists():
     n=st.integers(0, 6),
     m=st.integers(0, 6),
     partial=st.booleans(),
+    cut=st.integers(0, 6),
     seed=st.integers(0, 10**6),
 )
-def test_generator_output_always_validates(k, n, m, partial, seed):
-    length = min(n, m) if partial else None
+def test_generator_output_always_validates(k, n, m, partial, cut, seed):
+    # Partial lists may be shorter than min(n, m); rosters may differ in size.
+    length = min(n, m, cut) if partial else None
     market = generate_random_market(k, n, m, list_length=length, seed=seed)
     assert validate_market(market) == []
-    if not partial:
-        for cm in market.categories:
+    for cm in market.categories:
+        if not partial:
             for plist in cm.patient_prefs:
                 assert set(plist.ranking) == set(cm.doctors)
+        for side in (PATIENT, DOCTOR):
+            view = cm.views[side]
+            counterparts = cm.roster(opposite(side))
+            assert len(view.prefs) == len(view.ranks) == len(cm.roster(side))
+            for plist, row, ranks in zip(cm.prefs(side), view.prefs, view.ranks):
+                assert row == [e.ordinal for e in plist.ranking]
+                assert ranks == [
+                    plist.ranking.index(c) if c in plist.ranking else None
+                    for c in counterparts
+                ]
+
+
+def test_perturbed_category_has_its_own_view(ref_market):
+    cm = ref_market.categories[0]
+    original = cm.views[PATIENT]
+    out = perturb_preferences(ref_market, PerturbationSpec(PATIENT, 1.0, 3)).categories[0]
+    assert out.patient_prefs != cm.patient_prefs
+    assert out.views[PATIENT] is not original
+    for plist, row in zip(out.patient_prefs, out.views[PATIENT].prefs):
+        assert row == [e.ordinal for e in plist.ranking]
+    assert out.views[PATIENT].prefs != original.prefs
+    assert cm.views[PATIENT] is original
 
 
 @settings(max_examples=25, deadline=None)

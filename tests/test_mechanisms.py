@@ -166,6 +166,8 @@ def test_invalid_market_is_rejected(ref_market):
         tomhecs(broken, PATIENT)
     with pytest.raises(InvalidMarketError):
         ramhecs(broken, 0)
+    with pytest.raises(InvalidMarketError):
+        run_mechanism(broken, "tomhecs")
 
 
 def test_run_mechanism_dispatch(ref_market):

@@ -108,6 +108,17 @@ def test_partner_absent_from_list_is_an_error():
         satisfaction_level(partial, bogus, PATIENT)
 
 
+def test_foreign_agents_are_rejected(ref_market):
+    # A pair from another market names no agent of ref_market; scoring it
+    # as "everyone unmatched" would hide the mistake.
+    single = market_from_rankings([[0]], [[0]])
+    foreign = Matching({0: tomhecs(single, PATIENT)[0].pairs(0)})
+    with pytest.raises(ValueError, match="unknown agents"):
+        satisfaction_level(ref_market, foreign, PATIENT)
+    with pytest.raises(ValueError, match="unknown agents"):
+        preferable_allocation_count(ref_market, foreign, DOCTOR)
+
+
 def test_mean_ordering_tomhecs_vs_ramhecs():
     # Averaged over many random markets, deferred acceptance weakly beats the
     # random baseline on both metrics for the proposing side.
