@@ -10,7 +10,6 @@ from .market import (
     InvalidMarketError,
     Market,
     MarketFormatError,
-    PreferenceList,
     category_from_rankings,
     generate_random_market,
     load_market,

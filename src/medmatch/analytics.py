@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market import DOCTOR, PATIENT, Market, PreferenceList, category_from_rankings
+from .market import DOCTOR, PATIENT, Market, category_from_rankings
 from .mechanisms import ramhecs_category
 
 PRESET_PROBABILITIES = {
@@ -62,20 +62,14 @@ def perturb_preferences(market: Market, spec: PerturbationSpec) -> Market:
     categories = []
     for cm in market.categories:
         rng = random.Random(f"{spec.seed}:perturb:{cm.category}")
-        lists = []
-        for plist in cm.prefs(spec.side):
-            if rng.random() < spec.q:
-                lists.append(
-                    PreferenceList(
-                        plist.owner, tuple(rng.sample(plist.ranking, len(plist.ranking)))
-                    )
-                )
-            else:
-                lists.append(plist)
+        lists = tuple(
+            tuple(rng.sample(row, len(row))) if rng.random() < spec.q else row
+            for row in cm.prefs(spec.side)
+        )
         if spec.side == PATIENT:
-            categories.append(replace(cm, patient_prefs=tuple(lists)))
+            categories.append(replace(cm, patient_prefs=lists))
         else:
-            categories.append(replace(cm, doctor_prefs=tuple(lists)))
+            categories.append(replace(cm, doctor_prefs=lists))
     return replace(market, categories=tuple(categories))
 
 
@@ -129,7 +123,7 @@ def estimate_total_distance(
         # constrain the mechanism, which continues the same RNG stream.
         cm = category_from_rankings(0, prefs, [doctors] * n)
         pairs, _ = ramhecs_category(cm, rng)
-        ranks = cm.views[PATIENT].ranks
+        ranks = cm.ranks[PATIENT]
         samples.append(sum(ranks[p.ordinal][d.ordinal] for p, d in pairs))
     return _summarize(samples, {"n": n, "model": model})
 

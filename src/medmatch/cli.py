@@ -15,13 +15,7 @@ import json
 import sys
 
 from . import analytics, harness, oracle
-from .market import (
-    DOCTOR,
-    PATIENT,
-    InvalidMarketError,
-    MarketFormatError,
-    load_market,
-)
+from .market import DOCTOR, PATIENT, load_market
 from .mechanisms import TOMHECS, run_categories
 
 
@@ -93,7 +87,6 @@ def cmd_run(args) -> int:
         config.out = args.out
     if args.fmt:
         config.fmt = args.fmt
-    config.validate()
     out = config.out or "results.csv"
     result = harness.run_experiment(config)
     harness.emit(result.rows, config.fmt, out)
@@ -168,9 +161,10 @@ def cmd_analytics(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # MarketFormatError, InvalidMarketError and ConfigError are ValueErrors.
     try:
         return args.func(args)
-    except (MarketFormatError, InvalidMarketError, harness.ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

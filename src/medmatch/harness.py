@@ -11,13 +11,21 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from statistics import fmean, stdev
 
 from .analytics import PRESET_PROBABILITIES, PerturbationSpec, perturb_preferences
-from .market import DOCTOR, FULL, MODES, PARTIAL, PATIENT, Market, opposite
+from .market import (
+    DOCTOR,
+    FULL,
+    MODES,
+    PARTIAL,
+    PATIENT,
+    Market,
+    generate_random_market,
+    opposite,
+)
 from .mechanisms import MECHANISMS, Matching, run_categories
-from .market import generate_random_market
 from .metrics import preferable_allocation_count, satisfaction_level
 
 REQUESTING = "requesting"
@@ -40,6 +48,26 @@ CSV_COLUMNS = (
 
 class ConfigError(ValueError):
     pass
+
+
+# The parsed JSON types each config field accepts. Types match exactly, so
+# true/false is never an integer; every array must hold strings.
+_FIELD_TYPES = {
+    **dict.fromkeys(("k", "n_patients", "n_doctors", "repetitions"), (int,)),
+    **dict.fromkeys(("mode", "proposing_side", "deviating_party", "fmt"), (str,)),
+    **dict.fromkeys(("mechanisms", "measured_sides", "presets"), (list,)),
+    "list_length": (int, type(None)),
+    "seed": (int, str),
+    "out": (str, type(None)),
+    "save_matchings": (bool,),
+}
+_JSON_NAMES = {
+    int: "an integer",
+    str: "a string",
+    list: "an array of strings",
+    bool: "a boolean",
+    type(None): "null",
+}
 
 
 @dataclass
@@ -87,14 +115,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        """Build a config from parsed JSON; reject unknown keys and wrong types."""
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(doc) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**doc)
-        for name in ("mechanisms", "measured_sides", "presets"):
-            setattr(cfg, name, tuple(getattr(cfg, name)))
-        return cfg
+        for name, value in doc.items():
+            kinds = _FIELD_TYPES[name]
+            if type(value) not in kinds or (
+                type(value) is list and not all(isinstance(v, str) for v in value)
+            ):
+                expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
+                raise ConfigError(f"config field {name!r} must be {expected}, not {value!r}")
+        return cls(**{name: tuple(v) if type(v) is list else v for name, v in doc.items()})
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 A market is a collection of independent categories. Within a category each
 patient ranks some (or all) of the doctors and each doctor ranks some (or
-all) of the patients. All types are immutable after construction.
+all) of the patients. Each list is stored once, as opposite-roster
+ordinals, best first; `AgentId` labels agents only in rosters, matchings,
+trace events, messages and the JSON wire format. All types are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 PATIENT = "patient"
 DOCTOR = "doctor"
@@ -64,26 +66,6 @@ class AgentId:
 
 
 @dataclass(frozen=True)
-class PreferenceList:
-    """Strict ranking over opposite-side agents; index 0 is most preferred."""
-
-    owner: AgentId
-    ranking: tuple[AgentId, ...]
-
-
-class SideView(NamedTuple):
-    """One side of a category in roster ordinals.
-
-    prefs[a] is agent a's list as opposite-roster ordinals, best first;
-    ranks[a][c] is counterpart c's 0-based rank on that list, None when
-    a does not list c.
-    """
-
-    prefs: list[list[int]]
-    ranks: list[list[int | None]]
-
-
-@dataclass(frozen=True)
 class CategoryMarket:
     """One category's rosters and both preference profiles.
 
@@ -94,34 +76,36 @@ class CategoryMarket:
     category: int
     patients: tuple[AgentId, ...]
     doctors: tuple[AgentId, ...]
-    patient_prefs: tuple[PreferenceList, ...]
-    doctor_prefs: tuple[PreferenceList, ...]
+    # prefs[a] is agent a's list as opposite-roster ordinals, best first.
+    patient_prefs: tuple[tuple[int, ...], ...]
+    doctor_prefs: tuple[tuple[int, ...], ...]
 
     def roster(self, side: str) -> tuple[AgentId, ...]:
         return self.patients if side == PATIENT else self.doctors
 
-    def prefs(self, side: str) -> tuple[PreferenceList, ...]:
+    def prefs(self, side: str) -> tuple[tuple[int, ...], ...]:
         return self.patient_prefs if side == PATIENT else self.doctor_prefs
 
     @cached_property
-    def views(self) -> dict[str, SideView]:
-        """The integer view of each side, built once per category object.
-
-        dataclasses.replace makes a new object, so a perturbed category
-        never shares its original's view.
+    def ranks(self) -> dict[str, list[list[int | None]]]:
+        """Per side, ranks[agent][counterpart]: the counterpart's 0-based
+        rank on the agent's list, None when unlisted. Built once per
+        category object; dataclasses.replace makes a new object, so a
+        perturbed category never shares its original's tables.
         """
         # Every rank is taken from one shared list, so the tables hold
         # references to the same int objects rather than one int per entry.
         ints = list(range(max(len(self.patients), len(self.doctors))))
-        views = {}
+        ranks = {}
         for side in SIDES:
-            prefs = [[e.ordinal for e in pl.ranking] for pl in self.prefs(side)]
-            ranks = [[None] * len(self.roster(opposite(side))) for _ in prefs]
-            for row, table in zip(prefs, ranks):
+            tables = []
+            for row in self.prefs(side):
+                table = [None] * len(self.roster(opposite(side)))
                 for rank, counterpart in zip(ints, row):
                     table[counterpart] = rank
-            views[side] = SideView(prefs, ranks)
-        return views
+                tables.append(table)
+            ranks[side] = tables
+        return ranks
 
 
 @dataclass(frozen=True)
@@ -145,27 +129,30 @@ def _check_roster(cm: CategoryMarket, side: str, out: list[str]) -> None:
 def _check_prefs(cm: CategoryMarket, side: str, mode: str, out: list[str]) -> None:
     roster = cm.roster(side)
     prefs = cm.prefs(side)
-    counterpart = set(cm.roster(opposite(side)))
+    counterparts = cm.roster(opposite(side))
     if len(prefs) != len(roster):
         out.append(
             f"category {cm.category}: {len(roster)} {side}s but "
             f"{len(prefs)} preference lists"
         )
         return
-    for agent, plist in zip(roster, prefs):
-        if plist.owner != agent:
-            out.append(f"{agent!r}: preference list owner mismatch ({plist.owner!r})")
+    for agent, row in zip(roster, prefs):
+        if not isinstance(row, tuple):
+            out.append(f"{agent!r}: preference list {row!r} is not a tuple")
             continue
         seen = set()
-        for entry in plist.ranking:
-            if entry in seen:
-                out.append(f"{agent!r}: duplicate entry {entry!r}")
-            seen.add(entry)
-            if entry not in counterpart:
+        for entry in row:
+            if not isinstance(entry, int) or isinstance(entry, bool):
+                out.append(f"{agent!r}: entry {entry!r} is not an int ordinal")
+            elif not 0 <= entry < len(counterparts):
                 out.append(f"{agent!r}: entry {entry!r} is not on the opposite roster")
-        if mode == FULL and len(seen) < len(counterpart):
+            elif entry in seen:
+                out.append(f"{agent!r}: duplicate entry {counterparts[entry]!r}")
+            else:
+                seen.add(entry)
+        if mode == FULL and len(seen) < len(counterparts):
             out.append(
-                f"{agent!r}: list covers {len(seen)} of {len(counterpart)} "
+                f"{agent!r}: list covers {len(seen)} of {len(counterparts)} "
                 "counterparts in full-preference mode"
             )
 
@@ -208,15 +195,13 @@ def category_from_rankings(
     doctors = tuple(
         AgentId(DOCTOR, category, j, doctor_hospitals[j]) for j in range(m)
     )
-    patient_prefs = tuple(
-        PreferenceList(patients[i], tuple(doctors[j] for j in patient_rankings[i]))
-        for i in range(n)
+    return CategoryMarket(
+        category,
+        patients,
+        doctors,
+        tuple(map(tuple, patient_rankings)),
+        tuple(map(tuple, doctor_rankings)),
     )
-    doctor_prefs = tuple(
-        PreferenceList(doctors[j], tuple(patients[i] for i in doctor_rankings[j]))
-        for j in range(m)
-    )
-    return CategoryMarket(category, patients, doctors, patient_prefs, doctor_prefs)
 
 
 def market_from_rankings(
@@ -254,6 +239,12 @@ def generate_random_market(
             )
         if list_length < 0:
             raise ValueError("list_length must be non-negative")
+    p_len = n_doctors if list_length is None else list_length
+    d_len = n_patients if list_length is None else list_length
+    # Both populations slice one shared list, so every list entry references
+    # the same int objects rather than one int per entry.
+    ints = list(range(max(n_patients, n_doctors)))
+    doctor_ints, patient_ints = ints[:n_doctors], ints[:n_patients]
     categories = []
     for ci in range(k):
         rng = random.Random(f"{seed}:gen:{ci}")
@@ -263,13 +254,11 @@ def generate_random_market(
         doctors = tuple(AgentId(DOCTOR, ci, j, f"H{j + 1}") for j in range(n_doctors))
         # random.sample yields a uniformly random ordered subset: subset
         # choice and permutation in one draw.
-        p_len = n_doctors if list_length is None else list_length
-        d_len = n_patients if list_length is None else list_length
         patient_prefs = tuple(
-            PreferenceList(p, tuple(rng.sample(doctors, p_len))) for p in patients
+            tuple(rng.sample(doctor_ints, p_len)) for _ in range(n_patients)
         )
         doctor_prefs = tuple(
-            PreferenceList(d, tuple(rng.sample(patients, d_len))) for d in doctors
+            tuple(rng.sample(patient_ints, d_len)) for _ in range(n_doctors)
         )
         categories.append(
             CategoryMarket(ci, patients, doctors, patient_prefs, doctor_prefs)
@@ -292,12 +281,12 @@ def store_market(market: Market) -> bytes:
                     {"id": a.label, "hospital": a.hospital} for a in cm.doctors
                 ],
                 "patient_prefs": {
-                    pl.owner.label: [e.label for e in pl.ranking]
-                    for pl in cm.patient_prefs
+                    a.label: [cm.doctors[e].label for e in row]
+                    for a, row in zip(cm.patients, cm.patient_prefs)
                 },
                 "doctor_prefs": {
-                    pl.owner.label: [e.label for e in pl.ranking]
-                    for pl in cm.doctor_prefs
+                    a.label: [cm.patients[e].label for e in row]
+                    for a, row in zip(cm.doctors, cm.doctor_prefs)
                 },
             }
             for cm in market.categories
@@ -319,33 +308,36 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
-def _load_roster(entries, side: str, category: int, path: str) -> tuple[AgentId, ...]:
+def _load_roster(
+    entries, side: str, category: int, path: str
+) -> tuple[tuple[AgentId, ...], dict[str, int]]:
+    """The roster and each agent's id mapped to its ordinal, in roster order."""
     roster = []
-    seen_ids = set()
+    ordinals = {}
     for pos, entry in enumerate(entries):
         epath = f"{path}[{pos}]"
         ident = _require(entry, "id", str, epath)
         hospital = entry.get("hospital", "")
         if not isinstance(hospital, str):
             raise MarketFormatError("field 'hospital' must be str", epath)
-        if ident in seen_ids:
+        if ident in ordinals:
             raise MarketFormatError(f"duplicate agent id {ident!r}", epath)
-        seen_ids.add(ident)
+        ordinals[ident] = pos
         roster.append(AgentId(side, category, pos, hospital))
-    return tuple(roster)
+    return tuple(roster), ordinals
 
 
 def _load_prefs(
     doc: dict,
     key: str,
-    owners: tuple[AgentId, ...],
-    owner_ids: list[str],
-    targets: dict[str, AgentId],
+    owners: dict[str, int],
+    targets: dict[str, int],
     path: str,
-) -> tuple[PreferenceList, ...]:
+) -> tuple[tuple[int, ...], ...]:
+    """Each owner's list, in roster order, as target roster ordinals."""
     table = _require(doc, key, dict, path)
     prefs = []
-    for owner, ident in zip(owners, owner_ids):
+    for ident in owners:
         ppath = f"{path}.{key}.{ident}"
         if ident not in table:
             raise MarketFormatError(f"missing preference list for {ident!r}", ppath)
@@ -357,7 +349,7 @@ def _load_prefs(
             if not isinstance(entry, str) or entry not in targets:
                 raise MarketFormatError(f"unknown agent id {entry!r}", ppath)
             resolved.append(targets[entry])
-        prefs.append(PreferenceList(owner, tuple(resolved)))
+        prefs.append(tuple(resolved))
     return tuple(prefs)
 
 
@@ -377,16 +369,11 @@ def load_market(data: bytes | str) -> Market:
         index = _require(raw, "index", int, path)
         p_entries = _require(raw, "patients", list, path)
         d_entries = _require(raw, "doctors", list, path)
-        patients = _load_roster(p_entries, PATIENT, index, f"{path}.patients")
-        doctors = _load_roster(d_entries, DOCTOR, index, f"{path}.doctors")
-        p_ids = [e["id"] for e in p_entries]
-        d_ids = [e["id"] for e in d_entries]
-        patient_prefs = _load_prefs(
-            raw, "patient_prefs", patients, p_ids, dict(zip(d_ids, doctors)), path
-        )
-        doctor_prefs = _load_prefs(
-            raw, "doctor_prefs", doctors, d_ids, dict(zip(p_ids, patients)), path
-        )
+        # Each id maps to one int object, so equal entries share it.
+        patients, p_ordinals = _load_roster(p_entries, PATIENT, index, f"{path}.patients")
+        doctors, d_ordinals = _load_roster(d_entries, DOCTOR, index, f"{path}.doctors")
+        patient_prefs = _load_prefs(raw, "patient_prefs", p_ordinals, d_ordinals, path)
+        doctor_prefs = _load_prefs(raw, "doctor_prefs", d_ordinals, p_ordinals, path)
         categories.append(
             CategoryMarket(index, patients, doctors, patient_prefs, doctor_prefs)
         )

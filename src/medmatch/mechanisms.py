@@ -107,9 +107,9 @@ def ramhecs_category(
 ) -> tuple[frozenset[tuple[AgentId, AgentId]], CategoryTrace]:
     """Randomized pairing: random unmatched patient, random available listed doctor."""
     trace = CategoryTrace(cm.category)
-    prefs = cm.views[PATIENT].prefs
+    prefs = cm.patient_prefs
     # Mutual acceptability: a doctor is only a candidate for patients it lists.
-    doctor_ranks = cm.views[DOCTOR].ranks
+    doctor_ranks = cm.ranks[DOCTOR]
     available = set(range(len(cm.doctors)))
     active = list(range(len(cm.patients)))
     pairs = []
@@ -148,8 +148,8 @@ def tomhecs_category(
     trace = CategoryTrace(cm.category)
     proposers = cm.roster(proposing_side)
     receivers = cm.roster(opposite(proposing_side))
-    prefs = cm.views[proposing_side].prefs
-    ranks = cm.views[opposite(proposing_side)].ranks
+    prefs = cm.prefs(proposing_side)
+    ranks = cm.ranks[opposite(proposing_side)]
 
     next_choice = [0] * len(proposers)
     engaged_to: list[int | None] = [None] * len(proposers)  # receiver held by proposer

@@ -38,10 +38,9 @@ def partner_ranks(
     length: one worse than the last choice. Raises ValueError for a partner
     the agent does not list.
     """
-    view = cm.views[side]
     scores = []
     for agent, (partner, row, ranks) in enumerate(
-        zip(partners[side], view.prefs, view.ranks)
+        zip(partners[side], cm.prefs(side), cm.ranks[side])
     ):
         if partner is None:
             scores.append(len(row))
@@ -80,7 +79,7 @@ def preferable_allocation_count(
         # Score 0 is a first choice only on a non-empty list: an unmatched
         # agent with an empty list scores 0 as well.
         per_category[cm.category] = sum(
-            score == 0 < len(row) for score, row in zip(scores, cm.views[side].prefs)
+            score == 0 < len(row) for score, row in zip(scores, cm.prefs(side))
         )
     return per_category, sum(per_category.values())
 

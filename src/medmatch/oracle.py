@@ -11,15 +11,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import permutations
 
-from .market import (
-    DOCTOR,
-    PATIENT,
-    SIDES,
-    AgentId,
-    CategoryMarket,
-    PreferenceList,
-    opposite,
-)
+from .market import DOCTOR, PATIENT, SIDES, AgentId, CategoryMarket, opposite
 from .mechanisms import Matching, tomhecs_category
 from .metrics import partner_ranks
 
@@ -47,8 +39,8 @@ def _blocking_ordinals(
     """(patient, doctor) ordinals of every blocking pair, in patient ordinal
     then patient preference order."""
     doctor_scores = partner_ranks(cm, partners, DOCTOR)
-    doctor_ranks = cm.views[DOCTOR].ranks
-    patient_prefs = cm.views[PATIENT].prefs
+    doctor_ranks = cm.ranks[DOCTOR]
+    patient_prefs = cm.patient_prefs
     for p, cutoff in enumerate(partner_ranks(cm, partners, PATIENT)):
         # Only doctors strictly above the current assignment can block.
         for d in patient_prefs[p][:cutoff]:
@@ -90,10 +82,10 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
         raise ValueError(
             f"instance too large: max roster {max(n, m)} > {ENUMERATION_LIMIT}"
         )
-    doctor_ranks = cm.views[DOCTOR].ranks
+    doctor_ranks = cm.ranks[DOCTOR]
     mutual = [
         sorted(d for d in row if doctor_ranks[d][p] is not None)
-        for p, row in enumerate(cm.views[PATIENT].prefs)
+        for p, row in enumerate(cm.patient_prefs)
     ]
     # Grown patient by patient; -1 marks an unmatched patient.
     current: list[int] = []
@@ -164,7 +156,7 @@ def check_truthfulness_exhaustive(
         raise ValueError(
             f"instance too large: opposite roster {len(counterparts)} > {MISREPORT_LIMIT}"
         )
-    if any(None in ranks for side in SIDES for ranks in cm.views[side].ranks):
+    if any(None in ranks for side in SIDES for ranks in cm.ranks[side]):
         raise ValueError("misreport sweep requires full preference lists")
 
     def outcome(category: CategoryMarket) -> dict[str, list[int | None]]:
@@ -175,24 +167,24 @@ def check_truthfulness_exhaustive(
     # Every outcome is scored on cm, the TRUE preferences.
     truthful_scores = partner_ranks(cm, truthful, proposing_side)
     reports = []
-    for idx, (agent, plist) in enumerate(zip(proposers, prefs)):
+    for idx, (agent, row) in enumerate(zip(proposers, prefs)):
         partner = truthful[proposing_side][idx]
         truthful_partner = None if partner is None else counterparts[partner]
         violations = []
         tried = 0
-        for perm in permutations(counterparts):
-            if perm == plist.ranking:
+        for perm in permutations(range(len(counterparts))):
+            if perm == row:
                 continue
             tried += 1
-            lists = list(prefs)
-            lists[idx] = PreferenceList(agent, perm)
+            lists = prefs[:idx] + (perm,) + prefs[idx + 1 :]
             if proposing_side == PATIENT:
-                altered = replace(cm, patient_prefs=tuple(lists))
+                altered = replace(cm, patient_prefs=lists)
             else:
-                altered = replace(cm, doctor_prefs=tuple(lists))
+                altered = replace(cm, doctor_prefs=lists)
             partners = outcome(altered)
             if partner_ranks(cm, partners, proposing_side)[idx] < truthful_scores[idx]:
+                misreport = tuple(counterparts[e] for e in perm)
                 new_partner = counterparts[partners[proposing_side][idx]]
-                violations.append((perm, truthful_partner, new_partner))
+                violations.append((misreport, truthful_partner, new_partner))
         reports.append(TruthfulnessReport(agent, tried, violations))
     return reports

@@ -40,7 +40,7 @@ def test_perturb_q_one_resamples_every_list(ref_market):
     out = perturb_preferences(ref_market, PerturbationSpec(PATIENT, 1.0, 3))
     cm_in, cm_out = ref_market.categories[0], out.categories[0]
     for before, after in zip(cm_in.patient_prefs, cm_out.patient_prefs):
-        assert set(before.ranking) == set(after.ranking)
+        assert set(before) == set(after)
     # Doctors untouched.
     assert cm_in.doctor_prefs == cm_out.doctor_prefs
     assert validate_market(out) == []
@@ -57,7 +57,7 @@ def test_perturb_preserves_validity_partial():
     assert validate_market(out) == []
     for cm_in, cm_out in zip(market.categories, out.categories):
         for before, after in zip(cm_in.patient_prefs, cm_out.patient_prefs):
-            assert set(before.ranking) == set(after.ranking)
+            assert set(before) == set(after)
 
 
 def test_expected_deviator_count():
@@ -68,7 +68,7 @@ def test_expected_deviator_count():
     for seed in range(runs):
         out = perturb_preferences(market, PerturbationSpec(PATIENT, q, seed))
         changed = sum(
-            a.ranking != b.ranking
+            a != b
             for a, b in zip(market.categories[0].patient_prefs,
                             out.categories[0].patient_prefs)
         )

@@ -76,6 +76,27 @@ def test_run_rejects_bad_config(tmp_path):
     assert main(["run", "--config", bad.as_posix(), "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"k": "3"}, "k"),
+        ({"repetitions": 2.5}, "repetitions"),
+        ({"mechanisms": "tomhecs"}, "mechanisms"),
+        ({"measured_sides": "patient"}, "measured_sides"),
+        ({"seed": [1]}, "seed"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
+)
+def test_run_rejects_mistyped_config(tmp_path, capsys, doc, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert repr(field) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_missing_config_is_io_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

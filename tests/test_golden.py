@@ -1,8 +1,10 @@
-"""Golden output: `match run` CSV and stdout bytes are pinned across commits.
+"""Golden output: `match run` CSV and stdout bytes, and the `store_market`
+wire format, are pinned across commits.
 
-The digests were recorded from the code before the integer-view refactor;
-any change to them is a change to the harness's byte-identical output and
-must be deliberate.
+The `match run` digests were recorded from the code before the integer-view
+refactor, the `store_market` digests from the code before preference lists
+were stored as ordinals; any change to them is a change to byte-identical
+output and must be deliberate.
 """
 
 import hashlib
@@ -10,6 +12,7 @@ import json
 
 import pytest
 
+from medmatch import generate_random_market, market_from_rankings, store_market
 from medmatch.cli import main
 
 GRID = {
@@ -50,3 +53,27 @@ def test_match_run_output_bytes(name, tmp_path, monkeypatch, capsys):
         stdout.encode() + b"\0" + (tmp_path / "results.csv").read_bytes()
     ).hexdigest()
     assert digest == expected
+
+
+STORED = {
+    "full": (
+        lambda: generate_random_market(2, 5, 4, seed=21),
+        "be56afd58fc2148bf2daa91bb0d5faaf9978252eba97b3ea15c8ef9b9a171dca",
+    ),
+    "partial-unequal": (
+        lambda: market_from_rankings(
+            [[2, 0], [], [1], [0, 1, 2]],
+            [[3, 1], [0, 2, 3, 1], []],
+            mode="partial",
+            patient_hospitals=["St. Mary", "", "h9", "\u00e9cole"],
+            doctor_hospitals=["H2", "H2", 'clinic "north"'],
+        ),
+        "23434ba50314d7b9dd5377305abd074fdd0f187a1a87923bc83a3e2cf91a7e07",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORED))
+def test_store_market_bytes(name):
+    build, expected = STORED[name]
+    assert hashlib.sha256(store_market(build())).hexdigest() == expected

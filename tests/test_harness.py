@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -49,6 +50,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"bogus_key": 1})
     small_config(mode="partial", list_length=2).validate()
+    # Every field has a JSON type, and the defaults as JSON pass it.
+    defaults = json.loads(json.dumps(asdict(ExperimentConfig())))
+    assert ExperimentConfig.from_dict(defaults) == ExperimentConfig()
 
 
 def test_single_rep_matches_direct_calls():

@@ -5,15 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medmatch import (
+    InvalidMarketError,
     Market,
     MarketFormatError,
     PerturbationSpec,
-    PreferenceList,
     generate_random_market,
     load_market,
     market_from_rankings,
     perturb_preferences,
+    ramhecs,
+    run_mechanism,
     store_market,
+    tomhecs,
     validate_market,
 )
 from medmatch.market import DOCTOR, FULL, PARTIAL, PATIENT, opposite
@@ -30,8 +33,8 @@ def test_empty_market_is_valid():
 
 def test_duplicate_entry_is_reported(ref_market):
     cm = ref_market.categories[0]
-    plist = cm.patient_prefs[0]
-    dup = PreferenceList(plist.owner, plist.ranking[:3] + (plist.ranking[0],))
+    row = cm.patient_prefs[0]
+    dup = row[:3] + (row[0],)
     broken = dataclasses.replace(
         cm, patient_prefs=(dup,) + cm.patient_prefs[1:]
     )
@@ -39,9 +42,28 @@ def test_duplicate_entry_is_reported(ref_market):
     assert any("duplicate entry" in v and "p1" in v for v in violations)
 
 
+@pytest.mark.parametrize(
+    "bad", [(-1, 2, 0, 1), (4, 2, 0, 1), ("d1", 2, 0, 1), (1.5, 2, 0, 1), None], ids=repr
+)
+def test_malformed_preference_list_is_rejected(ref_market, bad):
+    # p1's list is (3, 2, 0, 1). 4 is len(roster): one past the last doctor.
+    # A negative ordinal would otherwise index from the end of a rank table.
+    cm = ref_market.categories[0]
+    market = Market((dataclasses.replace(cm, patient_prefs=(bad,) + cm.patient_prefs[1:]),))
+    violations = validate_market(market)
+    assert any(v.startswith("<p1@c0>: ") for v in violations), violations
+    for run in (
+        lambda: tomhecs(market),
+        lambda: ramhecs(market),
+        lambda: run_mechanism(market, "tomhecs"),
+    ):
+        with pytest.raises(InvalidMarketError, match="<p1@c0>"):
+            run()
+
+
 def test_short_list_rejected_in_full_mode(ref_market):
     cm = ref_market.categories[0]
-    short = PreferenceList(cm.patient_prefs[0].owner, cm.patient_prefs[0].ranking[:2])
+    short = cm.patient_prefs[0][:2]
     broken = dataclasses.replace(cm, patient_prefs=(short,) + cm.patient_prefs[1:])
     assert validate_market(Market((broken,), FULL))
     # The same lists are fine when the market is declared partial.
@@ -62,20 +84,20 @@ def test_generator_category_count_and_shape():
     assert len(market.categories) == 10
     for cm in market.categories:
         assert len(cm.patients) == 4 and len(cm.doctors) == 4
-        for plist in cm.patient_prefs + cm.doctor_prefs:
-            assert len(plist.ranking) == 4
+        for row in cm.patient_prefs + cm.doctor_prefs:
+            assert len(row) == 4
 
 
 def test_generator_partial_lists():
     market = generate_random_market(1, 5, 3, list_length=2, seed=11)
     assert market.mode == PARTIAL
     cm = market.categories[0]
-    for plist in cm.patient_prefs:
-        assert len(plist.ranking) == 2
-        assert len(set(plist.ranking)) == 2
-        assert all(e.side == DOCTOR for e in plist.ranking)
-    for plist in cm.doctor_prefs:
-        assert len(plist.ranking) == 2
+    for row in cm.patient_prefs:
+        assert len(row) == 2
+        assert len(set(row)) == 2
+        assert all(0 <= e < len(cm.doctors) for e in row)
+    for row in cm.doctor_prefs:
+        assert len(row) == 2
 
 
 def test_generator_rejects_oversized_lists():
@@ -101,30 +123,29 @@ def test_generator_output_always_validates(k, n, m, partial, cut, seed):
     assert validate_market(market) == []
     for cm in market.categories:
         if not partial:
-            for plist in cm.patient_prefs:
-                assert set(plist.ranking) == set(cm.doctors)
+            for row in cm.patient_prefs:
+                assert set(row) == set(range(len(cm.doctors)))
         for side in (PATIENT, DOCTOR):
-            view = cm.views[side]
-            counterparts = cm.roster(opposite(side))
-            assert len(view.prefs) == len(view.ranks) == len(cm.roster(side))
-            for plist, row, ranks in zip(cm.prefs(side), view.prefs, view.ranks):
-                assert row == [e.ordinal for e in plist.ranking]
-                assert ranks == [
-                    plist.ranking.index(c) if c in plist.ranking else None
-                    for c in counterparts
+            width = len(cm.roster(opposite(side)))
+            prefs, ranks = cm.prefs(side), cm.ranks[side]
+            assert len(prefs) == len(ranks) == len(cm.roster(side))
+            for row, table in zip(prefs, ranks):
+                assert type(row) is tuple and all(type(e) is int for e in row)
+                assert table == [
+                    row.index(c) if c in row else None for c in range(width)
                 ]
 
 
 def test_perturbed_category_has_its_own_view(ref_market):
     cm = ref_market.categories[0]
-    original = cm.views[PATIENT]
+    original = cm.ranks[PATIENT]
     out = perturb_preferences(ref_market, PerturbationSpec(PATIENT, 1.0, 3)).categories[0]
     assert out.patient_prefs != cm.patient_prefs
-    assert out.views[PATIENT] is not original
-    for plist, row in zip(out.patient_prefs, out.views[PATIENT].prefs):
-        assert row == [e.ordinal for e in plist.ranking]
-    assert out.views[PATIENT].prefs != original.prefs
-    assert cm.views[PATIENT] is original
+    assert out.ranks[PATIENT] is not original
+    for row, table in zip(out.patient_prefs, out.ranks[PATIENT]):
+        assert [table[e] for e in row] == list(range(len(row)))
+    assert out.ranks[PATIENT] != original
+    assert cm.ranks[PATIENT] is original
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,10 +153,14 @@ def test_perturbed_category_has_its_own_view(ref_market):
     k=st.integers(0, 2),
     n=st.integers(0, 5),
     m=st.integers(0, 5),
+    list_length=st.none() | st.integers(0, 5),
     seed=st.integers(0, 10**6),
 )
-def test_store_load_round_trip(k, n, m, seed):
-    market = generate_random_market(k, n, m, seed=seed)
+def test_store_load_round_trip(k, n, m, list_length, seed):
+    # None is full mode; an int gives a partial market, clamped to the rosters.
+    if list_length is not None:
+        list_length = min(list_length, n, m)
+    market = generate_random_market(k, n, m, list_length, seed=seed)
     assert load_market(store_market(market)) == market
 
 

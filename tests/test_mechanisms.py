@@ -88,11 +88,9 @@ def test_ramhecs_pairs_are_mutually_listed():
         market = generate_random_market(2, 6, 5, list_length=3, seed=seed)
         matching, _ = ramhecs(market, seed)
         for cm in market.categories:
-            doctor_lists = {pl.owner: set(pl.ranking) for pl in cm.doctor_prefs}
-            patient_lists = {pl.owner: set(pl.ranking) for pl in cm.patient_prefs}
             for p, d in matching.pairs(cm.category):
-                assert d in patient_lists[p]
-                assert p in doctor_lists[d]
+                assert d.ordinal in cm.patient_prefs[p.ordinal]
+                assert p.ordinal in cm.doctor_prefs[d.ordinal]
 
 
 def test_ramhecs_full_balanced_is_perfect():
@@ -141,12 +139,12 @@ def test_tomhecs_doctor_proposing(ref_market):
 def test_tomhecs_proposer_approaches_descend_own_list(ref_market):
     _, stats = tomhecs(ref_market, PATIENT, record_trace=True)
     cm = ref_market.categories[0]
-    rank = {pl.owner: {e: r for r, e in enumerate(pl.ranking)} for pl in cm.patient_prefs}
     approached = {}
     for kind, _, proposer, receiver in stats.events:
         if kind != "propose":
             continue
-        approached.setdefault(proposer, []).append(rank[proposer][receiver])
+        row = cm.patient_prefs[proposer.ordinal]
+        approached.setdefault(proposer, []).append(row.index(receiver.ordinal))
     for ranks in approached.values():
         assert ranks == sorted(ranks)
         assert len(set(ranks)) == len(ranks)

@@ -36,18 +36,18 @@ def naive_blocking_scan(cm, matching):
     found = set()
     for patient, plist in zip(cm.patients, cm.patient_prefs):
         for doctor, dlist in zip(cm.doctors, cm.doctor_prefs):
-            if patient not in dlist.ranking or doctor not in plist.ranking:
+            if patient.ordinal not in dlist or doctor.ordinal not in plist:
                 continue
             if p_to_d.get(patient) == doctor:
                 continue
             current_d = p_to_d.get(patient)
-            patient_prefers = current_d is None or plist.ranking.index(
-                doctor
-            ) < plist.ranking.index(current_d)
+            patient_prefers = current_d is None or plist.index(
+                doctor.ordinal
+            ) < plist.index(current_d.ordinal)
             current_p = d_to_p.get(doctor)
-            doctor_prefers = current_p is None or dlist.ranking.index(
-                patient
-            ) < dlist.ranking.index(current_p)
+            doctor_prefers = current_p is None or dlist.index(
+                patient.ordinal
+            ) < dlist.index(current_p.ordinal)
             if patient_prefers and doctor_prefers:
                 found.add((patient, doctor))
     return found
