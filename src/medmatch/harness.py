@@ -89,6 +89,10 @@ class ExperimentConfig:
     save_matchings: bool = False
 
     def validate(self) -> None:
+        for name in ("k", "n_patients", "n_doctors"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"config field {name!r} must be non-negative, not {value!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.mode not in MODES:

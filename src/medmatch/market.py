@@ -118,6 +118,9 @@ def _check_roster(cm: CategoryMarket, side: str, out: list[str]) -> None:
     roster = cm.roster(side)
     for pos, agent in enumerate(roster):
         where = f"category {cm.category} {side} roster position {pos}"
+        if not isinstance(agent, AgentId):
+            out.append(f"{where}: {agent!r} is not an AgentId")
+            continue
         if agent.side != side:
             out.append(f"{where}: agent {agent!r} has wrong side")
         if agent.category != cm.category:
@@ -301,7 +304,8 @@ def _require(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise MarketFormatError(f"missing required field {key!r}", path)
     value = doc[key]
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but JSON true/false is never a number.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise MarketFormatError(
             f"field {key!r} must be {kind.__name__}", f"{path}.{key}"
         )

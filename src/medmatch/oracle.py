@@ -1,8 +1,10 @@
-"""Executable stability/optimality/truthfulness checks and brute-force oracles.
+"""Executable stability/optimality/truthfulness checks and their oracles.
 
-The enumeration and misreport sweeps are factorial-time by design; they
-exist to cross-check the mechanisms on small instances and are guarded
-accordingly.
+The blocking-pair scan is quadratic. Stable matchings are enumerated by
+rotation elimination over the stable-matching lattice, in time polynomial
+per matching found; it is still guarded to rosters of at most
+ENUMERATION_LIMIT agents. The misreport sweep tries every permutation of a
+list, factorial-time by design, and is guarded to MISREPORT_LIMIT.
 """
 
 from __future__ import annotations
@@ -70,57 +72,104 @@ def is_perfect(cm: CategoryMarket, matching: Matching) -> bool:
     return count == len(cm.patients) == len(cm.doctors)
 
 
-def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
-    """Brute-force enumeration of every stable matching of one category.
+def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> list[int | None]:
+    """Proposer-optimal stable matching by sequential deferred acceptance:
+    one free proposer at a time proposes down its list. Returns, per
+    receiver, the ordinal of the proposer it holds (None when it holds none).
 
-    Enumerates maximal mutually-acceptable matchings recursively and keeps
-    exactly those with no blocking pair, in a deterministic canonical
-    order. Guarded to rosters of at most ENUMERATION_LIMIT agents.
+    Kept apart from tomhecs_category so that the lattice the oracle walks
+    never comes from the mechanism it checks.
+    """
+    prefs = cm.prefs(proposing_side)
+    ranks = cm.ranks[opposite(proposing_side)]
+    holder: list[int | None] = [None] * len(cm.roster(opposite(proposing_side)))
+    next_choice = [0] * len(prefs)
+    free = list(range(len(prefs)))
+    while free:
+        p = free.pop()
+        row = prefs[p]
+        while next_choice[p] < len(row):
+            r = row[next_choice[p]]
+            next_choice[p] += 1
+            rank = ranks[r][p]
+            if rank is None:
+                continue
+            held = holder[r]
+            if held is None or rank < ranks[r][held]:
+                holder[r] = p
+                if held is not None:
+                    free.append(held)
+                break
+    return holder
+
+
+def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
+    """Every stable matching of one category, by a walk over the lattice of
+    stable matchings (Irving & Leather 1986; Gusfield 1987).
+
+    The walk starts at the patient-optimal matching and eliminates every
+    exposed rotation of each matching it reaches, until no patient can move
+    further towards its doctor-optimal partner. Matchings come in the
+    canonical order of their patient assignment tuples (a doctor ordinal per
+    patient, -1 when unmatched). Guarded to rosters of at most
+    ENUMERATION_LIMIT agents.
     """
     n, m = len(cm.patients), len(cm.doctors)
     if max(n, m) > ENUMERATION_LIMIT:
         raise ValueError(
             f"instance too large: max roster {max(n, m)} > {ENUMERATION_LIMIT}"
         )
+    patient_prefs = cm.patient_prefs
+    patient_ranks = cm.ranks[PATIENT]
     doctor_ranks = cm.ranks[DOCTOR]
-    mutual = [
-        sorted(d for d in row if doctor_ranks[d][p] is not None)
-        for p, row in enumerate(cm.patient_prefs)
-    ]
-    # Grown patient by patient; -1 marks an unmatched patient.
-    current: list[int] = []
-    doctor_of: list[int | None] = [None] * m
-    assignments: list[tuple[int, ...]] = []
-
-    def recurse(p: int) -> None:
-        if p == n:
-            # Not maximal: an unmatched patient and a free mutual doctor
-            # block. This cheap scan spares most leaves the full check.
-            for q, d in enumerate(current):
-                if d == -1 and None in [doctor_of[x] for x in mutual[q]]:
-                    return
-            partners = {
-                PATIENT: [None if d == -1 else d for d in current],
-                DOCTOR: doctor_of,
-            }
-            if not any(_blocking_ordinals(cm, partners)):
-                assignments.append(tuple(current))
-            return
-        for d in mutual[p]:
-            if doctor_of[d] is None:
-                doctor_of[d] = p
-                current.append(d)
-                recurse(p + 1)
-                current.pop()
-                doctor_of[d] = None
-        current.append(-1)
-        recurse(p + 1)
-        current.pop()
-
-    recurse(0)
-    assignments.sort()
+    # The doctor-proposing run holds, per patient, its doctor-optimal partner.
+    bottom = [-1 if d is None else d for d in _gale_shapley(cm, DOCTOR)]
+    top = [-1] * n
+    for d, p in enumerate(_gale_shapley(cm, PATIENT)):
+        if p is not None:
+            top[p] = d
+    seen = {tuple(top)}
+    stack = [tuple(top)]
+    while stack:
+        assignment = stack.pop()
+        holder: list[int | None] = [None] * m
+        for p, d in enumerate(assignment):
+            if d != -1:
+                holder[d] = p
+        # s(p): the first doctor below p's partner that would take p over
+        # its own partner. Unmatched doctors are skipped: by the
+        # rural-hospitals theorem no stable matching matches them.
+        successor = {}
+        for p, d in enumerate(assignment):
+            if d == -1 or d == bottom[p]:
+                continue
+            for e in patient_prefs[p][patient_ranks[p][d] + 1 :]:
+                q = holder[e]
+                rank = doctor_ranks[e][p]
+                if q is not None and rank is not None and rank < doctor_ranks[e][q]:
+                    successor[p] = e
+                    break
+        # Each cycle of p -> holder[s(p)] is an exposed rotation; moving
+        # every patient on it to s(p) yields another stable matching.
+        walked: dict[int, int] = {}
+        for origin in successor:
+            path = []
+            p = origin
+            while p in successor and p not in walked:
+                walked[p] = origin
+                path.append(p)
+                p = holder[successor[p]]
+            if walked.get(p) != origin:
+                continue
+            moved = list(assignment)
+            for q in path[path.index(p) :]:
+                moved[q] = successor[q]
+            reached = tuple(moved)
+            if reached not in seen:
+                seen.add(reached)
+                stack.append(reached)
     result = []
-    for assignment in assignments:
+    for assignment in sorted(seen):
         pairs = frozenset(
             (cm.patients[p], cm.doctors[d])
             for p, d in enumerate(assignment)

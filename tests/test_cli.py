@@ -84,6 +84,9 @@ def test_run_rejects_bad_config(tmp_path):
         ({"mechanisms": "tomhecs"}, "mechanisms"),
         ({"measured_sides": "patient"}, "measured_sides"),
         ({"seed": [1]}, "seed"),
+        ({"k": -1}, "k"),
+        ({"n_patients": -2}, "n_patients"),
+        ({"n_doctors": -3}, "n_doctors"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
 )

@@ -61,6 +61,21 @@ def test_malformed_preference_list_is_rejected(ref_market, bad):
             run()
 
 
+def test_non_agent_roster_entry_is_rejected(ref_market):
+    cm = ref_market.categories[0]
+    market = Market((dataclasses.replace(cm, patients=("p1",) + cm.patients[1:]),))
+    assert "category 0 patient roster position 0: 'p1' is not an AgentId" in (
+        validate_market(market)
+    )
+    for run in (
+        lambda: tomhecs(market),
+        lambda: ramhecs(market),
+        lambda: run_mechanism(market, "tomhecs"),
+    ):
+        with pytest.raises(InvalidMarketError, match="roster position 0"):
+            run()
+
+
 def test_short_list_rejected_in_full_mode(ref_market):
     cm = ref_market.categories[0]
     short = cm.patient_prefs[0][:2]
@@ -212,3 +227,13 @@ def test_hospital_labels_do_not_affect_matching(ref_market):
     a, _ = tomhecs(ref_market, PATIENT)
     b, _ = tomhecs(relabeled, PATIENT)
     assert labels(a.pairs(0)) == labels(b.pairs(0))
+
+
+def test_load_rejects_boolean_category_index():
+    import json
+
+    doc = json.loads(store_market(generate_random_market(2, 2, 2, seed=0)))
+    doc["categories"][1]["index"] = True
+    with pytest.raises(MarketFormatError) as err:
+        load_market(json.dumps(doc))
+    assert err.value.path == "$.categories[1].index"

@@ -16,7 +16,9 @@ from medmatch import (
     ramhecs,
     tomhecs,
 )
-from medmatch.market import DOCTOR, PATIENT
+from medmatch import oracle
+from medmatch.market import DOCTOR, PARTIAL, PATIENT
+from medmatch.metrics import partner_ranks
 
 
 def pair_up(cm, assignment):
@@ -51,6 +53,54 @@ def naive_blocking_scan(cm, matching):
             if patient_prefers and doctor_prefers:
                 found.add((patient, doctor))
     return found
+
+
+def brute_force_stable_matchings(cm):
+    """Reference enumeration used to cross-check the lattice walk: every
+    maximal mutually-acceptable matching, grown patient by patient, kept
+    when it has no blocking pair. Factorial-time; small rosters only.
+    """
+    n, m = len(cm.patients), len(cm.doctors)
+    doctor_ranks = cm.ranks[DOCTOR]
+    mutual = [
+        sorted(d for d in row if doctor_ranks[d][p] is not None)
+        for p, row in enumerate(cm.patient_prefs)
+    ]
+    # Grown patient by patient; -1 marks an unmatched patient.
+    current = []
+    doctor_of = [None] * m
+    assignments = []
+
+    def recurse(p):
+        if p == n:
+            # Not maximal: an unmatched patient and a free mutual doctor
+            # block. This cheap scan spares most leaves the full check.
+            for q, d in enumerate(current):
+                if d == -1 and None in [doctor_of[x] for x in mutual[q]]:
+                    return
+            partners = {
+                PATIENT: [None if d == -1 else d for d in current],
+                DOCTOR: doctor_of,
+            }
+            if not any(oracle._blocking_ordinals(cm, partners)):
+                assignments.append(tuple(current))
+            return
+        for d in mutual[p]:
+            if doctor_of[d] is None:
+                doctor_of[d] = p
+                current.append(d)
+                recurse(p + 1)
+                current.pop()
+                doctor_of[d] = None
+        current.append(-1)
+        recurse(p + 1)
+        current.pop()
+
+    recurse(0)
+    return [
+        pair_up(cm, {p: d for p, d in enumerate(assignment) if d != -1})
+        for assignment in sorted(assignments)
+    ]
 
 
 def test_tomhecs_output_has_no_blocking_pairs(ref_market, ref_category):
@@ -110,6 +160,76 @@ def test_enumeration_guard():
     market = generate_random_market(1, 9, 9, seed=0)
     with pytest.raises(ValueError, match="too large"):
         enumerate_stable_matchings(market.categories[0])
+
+
+@pytest.mark.parametrize("lists", ["full", "generator_partial", "random_length"])
+def test_enumeration_matches_brute_force(lists):
+    rng = random.Random(f"enumeration:{lists}")
+    for seed in range(150):
+        n, m = rng.randint(0, 7), rng.randint(0, 7)
+        if lists == "random_length":
+            # Every agent lists a random-length, randomly ordered subset.
+            market = market_from_rankings(
+                [rng.sample(range(m), rng.randint(0, m)) for _ in range(n)],
+                [rng.sample(range(n), rng.randint(0, n)) for _ in range(m)],
+                PARTIAL,
+            )
+        else:
+            length = rng.randint(0, min(n, m)) if lists == "generator_partial" else None
+            market = generate_random_market(1, n, m, list_length=length, seed=seed)
+        cm = market.categories[0]
+        assert enumerate_stable_matchings(cm) == brute_force_stable_matchings(cm), (n, m, seed)
+
+
+def test_enumeration_of_independent_cycles():
+    # Four independent 2x2 blocks, each with exactly two stable matchings:
+    # within a block the patients' first choices are the doctors who rank
+    # them last.
+    patients, doctors = [], []
+    for lo in range(0, 8, 2):
+        patients += [[lo, lo + 1], [lo + 1, lo]]
+        doctors += [[lo + 1, lo], [lo, lo + 1]]
+    cm = market_from_rankings(patients, doctors, PARTIAL).categories[0]
+    stable = enumerate_stable_matchings(cm)
+    assert len(stable) == 16
+    assert stable == brute_force_stable_matchings(cm)
+
+
+def test_stable_lattice_facts():
+    rng = random.Random("lattice")
+    several = 0
+    for seed in range(200):
+        n, m = rng.randint(2, 8), rng.randint(2, 8)
+        length = rng.randint(2, min(n, m))
+        market = generate_random_market(1, n, m, list_length=length, seed=seed)
+        cm = market.categories[0]
+        stable = [s.partners(cm) for s in enumerate_stable_matchings(cm)]
+        several += len(stable) > 1 and n != m
+        # Rural hospitals: every stable matching matches the same agents.
+        for side in (PATIENT, DOCTOR):
+            assert len({tuple(p is None for p in s[side]) for s in stable}) == 1
+        scores = [partner_ranks(cm, s, PATIENT) for s in stable]
+        best = partner_ranks(cm, tomhecs(market, PATIENT)[0].partners(cm), PATIENT)
+        worst = partner_ranks(cm, tomhecs(market, DOCTOR)[0].partners(cm), PATIENT)
+        assert best in scores and worst in scores
+        assert best == [min(ranks) for ranks in zip(*scores)]
+        assert worst == [max(ranks) for ranks in zip(*scores)]
+    # Enough unequal-roster markets with a non-trivial lattice to mean something.
+    assert several >= 5, several
+
+
+def test_enumeration_does_not_use_the_mechanism(monkeypatch, ref_market, ref_category):
+    patient_opt, _ = tomhecs(ref_market, PATIENT)
+    doctor_opt, _ = tomhecs(ref_market, DOCTOR)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the mechanism it checks")
+
+    monkeypatch.setattr(oracle, "tomhecs_category", refuse)
+    assert len(enumerate_stable_matchings(ref_category)) == 2
+    assert check_requesting_party_optimal(ref_category, patient_opt, PATIENT)
+    assert check_requesting_party_optimal(ref_category, doctor_opt, DOCTOR)
+    assert not check_requesting_party_optimal(ref_category, doctor_opt, PATIENT)
 
 
 @pytest.mark.parametrize("seed", range(12))
