@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market import DOCTOR, PATIENT, Market, category_from_rankings
+from .market import DOCTOR, PATIENT, Market, _sampler, category_from_rankings
 from .mechanisms import ramhecs_category
 
 PRESET_PROBABILITIES = {
@@ -62,8 +62,9 @@ def perturb_preferences(market: Market, spec: PerturbationSpec) -> Market:
     categories = []
     for cm in market.categories:
         rng = random.Random(f"{spec.seed}:perturb:{cm.category}")
+        sample = _sampler(rng)
         lists = tuple(
-            tuple(rng.sample(row, len(row))) if rng.random() < spec.q else row
+            sample(row, len(row)) if rng.random() < spec.q else row
             for row in cm.prefs(spec.side)
         )
         if spec.side == PATIENT:
@@ -112,13 +113,14 @@ def estimate_total_distance(
     if model not in ("mechanism", "stylized"):
         raise ValueError(f"unknown model {model!r}")
     rng = random.Random(f"{seed}:total-distance")
+    sample = _sampler(rng)
     samples = []
     doctors = list(range(n))
     for _ in range(trials):
         if model == "stylized":
             samples.append(sum(rng.randrange(n - i) for i in range(n)))
             continue
-        prefs = [rng.sample(doctors, n) for _ in range(n)]
+        prefs = [sample(doctors, n) for _ in range(n)]
         # Every doctor lists every patient, so only the patients' lists
         # constrain the mechanism, which continues the same RNG stream.
         cm = category_from_rankings(0, prefs, [doctors] * n)

@@ -89,10 +89,16 @@ class ExperimentConfig:
     save_matchings: bool = False
 
     def validate(self) -> None:
-        for name in ("k", "n_patients", "n_doctors"):
+        if self.k < 1:
+            raise ConfigError(f"config field 'k' must be at least 1, not {self.k!r}")
+        for name in ("n_patients", "n_doctors"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"config field {name!r} must be non-negative, not {value!r}")
+        # An empty grid axis yields no rows, and an empty result has no summary.
+        for name in ("mechanisms", "measured_sides", "presets"):
+            if not getattr(self, name):
+                raise ConfigError(f"config field {name!r} must not be empty")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.mode not in MODES:
@@ -223,8 +229,7 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        record = asdict(row)
-        writer.writerow([record[col] for col in CSV_COLUMNS])
+        writer.writerow([getattr(row, col) for col in CSV_COLUMNS])
     return buffer.getvalue()
 
 

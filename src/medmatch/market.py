@@ -6,6 +6,11 @@ all) of the patients. Each list is stored once, as opposite-roster
 ordinals, best first; `AgentId` labels agents only in rosters, matchings,
 trace events, messages and the JSON wire format. All types are immutable
 after construction.
+
+Random lists are drawn by `_sampler(rng)`, whose `sample(population, k)`
+makes the same `rng.getrandbits` calls as the standard library's
+`random.sample` and returns the same items as a tuple: markets and
+perturbations are the ones `random.sample` would give, only faster.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import ceil, log
 
 PATIENT = "patient"
 DOCTOR = "doctor"
@@ -218,6 +224,59 @@ def market_from_rankings(
     return Market((cm,), mode)
 
 
+def _sampler(rng: random.Random):
+    """Return sample(population, k), CPython's Random.sample algorithm with
+    rng.getrandbits bound once and the _randbelow rejection loop inlined.
+
+    Draw for draw it makes the same getrandbits calls as Random.sample, so
+    it returns the same items, as a tuple, and leaves rng in the same state.
+    """
+    getrandbits = rng.getrandbits
+
+    def sample(population, k: int) -> tuple:
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("Sample larger than population or is negative")
+        result = []
+        append = result.append
+        # The standard library's rule for choosing between its two branches.
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** ceil(log(k * 3, 4))
+        if n <= setsize:
+            # Pool branch: draw below the shrinking pool size, move the
+            # last unselected item into the vacancy. The draw's bit width
+            # only changes when size falls below a power of two, so each
+            # band of sizes shares one width.
+            pool = list(population)
+            stop = n - k
+            size = n
+            while size > stop:
+                bits = size.bit_length()
+                band_end = max(stop, (1 << (bits - 1)) - 1)
+                for size in range(size, band_end, -1):
+                    j = getrandbits(bits)
+                    while j >= size:
+                        j = getrandbits(bits)
+                    append(pool[j])
+                    pool[j] = pool[size - 1]
+                size = band_end
+        else:
+            # Set branch: redraw an index below n until it is unselected.
+            bits = n.bit_length()
+            selected = set()
+            add = selected.add
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                add(j)
+                append(population[j])
+        return tuple(result)
+
+    return sample
+
+
 def generate_random_market(
     k: int,
     n_patients: int,
@@ -250,19 +309,15 @@ def generate_random_market(
     doctor_ints, patient_ints = ints[:n_doctors], ints[:n_patients]
     categories = []
     for ci in range(k):
-        rng = random.Random(f"{seed}:gen:{ci}")
+        sample = _sampler(random.Random(f"{seed}:gen:{ci}"))
         patients = tuple(
             AgentId(PATIENT, ci, i, f"h{i + 1}") for i in range(n_patients)
         )
         doctors = tuple(AgentId(DOCTOR, ci, j, f"H{j + 1}") for j in range(n_doctors))
-        # random.sample yields a uniformly random ordered subset: subset
-        # choice and permutation in one draw.
-        patient_prefs = tuple(
-            tuple(rng.sample(doctor_ints, p_len)) for _ in range(n_patients)
-        )
-        doctor_prefs = tuple(
-            tuple(rng.sample(patient_ints, d_len)) for _ in range(n_doctors)
-        )
+        # A sample is a uniformly random ordered subset: subset choice and
+        # permutation in one draw.
+        patient_prefs = tuple(sample(doctor_ints, p_len) for _ in range(n_patients))
+        doctor_prefs = tuple(sample(patient_ints, d_len) for _ in range(n_doctors))
         categories.append(
             CategoryMarket(ci, patients, doctors, patient_prefs, doctor_prefs)
         )

@@ -144,6 +144,11 @@ def tomhecs_category(
     its own list) and rejects the rest. A proposer absent from the
     counterpart's list is rejected immediately. Terminates when every free
     proposer has exhausted its list.
+
+    A proposer is free only at the start or after a rejection, so each round
+    visits just the proposers rejected in the round before, in ascending
+    ordinal order: the same proposals in the same order as a scan of the
+    whole roster, in O(proposals) time rather than O(rounds x roster).
     """
     trace = CategoryTrace(cm.category)
     proposers = cm.roster(proposing_side)
@@ -155,11 +160,13 @@ def tomhecs_category(
     engaged_to: list[int | None] = [None] * len(proposers)  # receiver held by proposer
     holder: list[int | None] = [None] * len(receivers)  # proposer held by receiver
 
+    free = list(range(len(proposers)))
     while True:
         offers: dict[int, list[int]] = {}
+        rejected: list[int] = []
         proposed = False
-        for p in range(len(proposers)):
-            if engaged_to[p] is not None or next_choice[p] >= len(prefs[p]):
+        for p in free:
+            if next_choice[p] >= len(prefs[p]):
                 continue
             r = prefs[p][next_choice[p]]
             next_choice[p] += 1
@@ -172,6 +179,7 @@ def tomhecs_category(
             if ranks[r][p] is None:
                 # Receiver does not list this proposer: immediate rejection.
                 trace.rejections += 1
+                rejected.append(p)
                 if events is not None:
                     events.append(
                         ("reject", trace.outer_iterations + 1, proposers[p], receivers[r])
@@ -190,6 +198,7 @@ def tomhecs_category(
                     continue
                 trace.rejections += 1
                 engaged_to[c] = None
+                rejected.append(c)
                 if events is not None:
                     events.append(
                         ("reject", trace.outer_iterations, proposers[c], receivers[r])
@@ -201,6 +210,8 @@ def tomhecs_category(
                     events.append(
                         ("hold", trace.outer_iterations, proposers[best], receivers[r])
                     )
+        rejected.sort()
+        free = rejected
 
     pairs = []
     for p, r in enumerate(engaged_to):

@@ -87,6 +87,10 @@ def test_run_rejects_bad_config(tmp_path):
         ({"k": -1}, "k"),
         ({"n_patients": -2}, "n_patients"),
         ({"n_doctors": -3}, "n_doctors"),
+        ({"presets": []}, "presets"),
+        ({"mechanisms": []}, "mechanisms"),
+        ({"measured_sides": []}, "measured_sides"),
+        ({"k": 0}, "k"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
 )

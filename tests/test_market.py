@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from medmatch import (
     tomhecs,
     validate_market,
 )
-from medmatch.market import DOCTOR, FULL, PARTIAL, PATIENT, opposite
+from medmatch.market import DOCTOR, FULL, PARTIAL, PATIENT, _sampler, opposite
 
 
 def test_reference_market_is_valid(ref_market):
@@ -237,3 +239,61 @@ def test_load_rejects_boolean_category_index():
     with pytest.raises(MarketFormatError) as err:
         load_market(json.dumps(doc))
     assert err.value.path == "$.categories[1].index"
+
+
+def uses_pool_branch(n, k):
+    """Random.sample's rule: a pool list when it is smaller than a k-set."""
+    return n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+def sampler_cases():
+    # Sizes on both sides of each branch switch (the pool is used up to
+    # n = 21 for k <= 5, 85 for 6 <= k <= 21, 277 for 22 <= k <= 85 and
+    # 1045 for 86 <= k <= 341) up to n = 4096, with every k from 0 to 6,
+    # the k at each switch, and k == n.
+    for n in (0, 1, 2, 5, 6, 7, 21, 22, 85, 86, 277, 278, 1045, 1046, 4096):
+        for k in sorted({*range(7), 21, 22, 85, 86, 341, 342, 1000, n - 1, n}):
+            if 0 <= k <= n:
+                yield n, k
+    rng = random.Random("sampler-cases")
+    for _ in range(60):
+        n = rng.randint(0, 4096)
+        yield n, rng.choice((rng.randint(0, min(n, 6)), rng.randint(0, n)))
+
+
+def test_sampler_matches_random_sample():
+    cases = list(sampler_cases())
+    assert {uses_pool_branch(n, k) for n, k in cases} == {True, False}
+    for n, k in cases:
+        for population in (range(n), tuple(f"x{i}" for i in range(n))):
+            ours, stdlib = random.Random(f"{n}:{k}"), random.Random(f"{n}:{k}")
+            sample = _sampler(ours)
+            for _ in range(3):
+                assert sample(population, k) == tuple(stdlib.sample(population, k)), (n, k)
+            assert ours.getstate() == stdlib.getstate(), (n, k)
+
+
+def test_sampler_keeps_the_stream_with_interleaved_draws():
+    # The perturbation's pattern: a coin flip from rng.random(), then maybe
+    # a resample from the same rng.
+    shapes = random.Random("shapes")
+    for seed in range(40):
+        ours, stdlib = random.Random(f"mix:{seed}"), random.Random(f"mix:{seed}")
+        sample = _sampler(ours)
+        for _ in range(50):
+            n = shapes.randint(0, 90)
+            k = n if shapes.random() < 0.5 else shapes.randint(0, n)
+            row = tuple(range(n))
+            flip = ours.random() < 0.5
+            assert flip == (stdlib.random() < 0.5)
+            if flip:
+                assert sample(row, k) == tuple(stdlib.sample(row, k)), (seed, n, k)
+        assert ours.getstate() == stdlib.getstate(), seed
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_sampler_rejects_sizes_like_random_sample(k):
+    with pytest.raises(ValueError):
+        random.Random(0).sample(range(3), k)
+    with pytest.raises(ValueError):
+        _sampler(random.Random(0))(range(3), k)

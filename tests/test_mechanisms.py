@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import labels
@@ -9,8 +11,66 @@ from medmatch import (
     run_mechanism,
     tomhecs,
 )
-from medmatch.market import DOCTOR, PATIENT, Market
+from medmatch.market import DOCTOR, PARTIAL, PATIENT, Market, opposite
+from medmatch.mechanisms import CategoryTrace, tomhecs_category
 from medmatch.oracle import find_blocking_pairs
+
+
+def full_scan_deferred_acceptance(cm, proposing_side=PATIENT, events=None):
+    """Reference batch deferred acceptance used to cross-check
+    tomhecs_category: every round scans the whole proposer roster for the
+    free proposers. O(rounds x roster); same counters and events.
+    """
+    trace = CategoryTrace(cm.category)
+    proposers = cm.roster(proposing_side)
+    receivers = cm.roster(opposite(proposing_side))
+    prefs = cm.prefs(proposing_side)
+    ranks = cm.ranks[opposite(proposing_side)]
+    next_choice = [0] * len(proposers)
+    engaged_to = [None] * len(proposers)
+    holder = [None] * len(receivers)
+    while True:
+        offers = {}
+        proposed = False
+        for p in range(len(proposers)):
+            if engaged_to[p] is not None or next_choice[p] >= len(prefs[p]):
+                continue
+            r = prefs[p][next_choice[p]]
+            next_choice[p] += 1
+            proposed = True
+            trace.proposals += 1
+            if events is not None:
+                events.append(("propose", trace.outer_iterations + 1, proposers[p], receivers[r]))
+            if ranks[r][p] is None:
+                trace.rejections += 1
+                if events is not None:
+                    events.append(("reject", trace.outer_iterations + 1, proposers[p], receivers[r]))
+                continue
+            offers.setdefault(r, []).append(p)
+        if not proposed:
+            break
+        trace.outer_iterations += 1
+        for r, candidates in offers.items():
+            if holder[r] is not None:
+                candidates.append(holder[r])
+            best = min(candidates, key=ranks[r].__getitem__)
+            for c in candidates:
+                if c != best:
+                    trace.rejections += 1
+                    engaged_to[c] = None
+                    if events is not None:
+                        events.append(("reject", trace.outer_iterations, proposers[c], receivers[r]))
+            if holder[r] != best:
+                holder[r] = best
+                engaged_to[best] = r
+                if events is not None:
+                    events.append(("hold", trace.outer_iterations, proposers[best], receivers[r]))
+    pairs = [
+        (proposers[p], receivers[r]) if proposing_side == PATIENT else (receivers[r], proposers[p])
+        for p, r in enumerate(engaged_to)
+        if r is not None
+    ]
+    return frozenset(pairs), trace
 
 
 def test_tomhecs_reference_final_matching(ref_market):
@@ -180,3 +240,29 @@ def test_run_mechanism_dispatch(ref_market):
 def test_run_mechanism_unknown_name(ref_market):
     with pytest.raises(ValueError, match="unknown mechanism"):
         run_mechanism(ref_market, "foo")
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+@pytest.mark.parametrize("lists", ["full", "generator_partial", "random_length"])
+def test_tomhecs_matches_full_scan_reference(lists, side):
+    rng = random.Random(f"full-scan:{lists}:{side}")
+    unequal = 0
+    for seed in range(100):
+        n, m = rng.randint(0, 40), rng.randint(0, 40)
+        unequal += n != m
+        if lists == "random_length":
+            # Every agent lists a random-length, randomly ordered subset.
+            market = market_from_rankings(
+                [rng.sample(range(m), rng.randint(0, m)) for _ in range(n)],
+                [rng.sample(range(n), rng.randint(0, n)) for _ in range(m)],
+                PARTIAL,
+            )
+        else:
+            length = rng.randint(0, min(n, m)) if lists == "generator_partial" else None
+            market = generate_random_market(1, n, m, list_length=length, seed=seed)
+        cm = market.categories[0]
+        events, ref_events = [], []
+        pairs, trace = tomhecs_category(cm, side, events)
+        ref_pairs, ref_trace = full_scan_deferred_acceptance(cm, side, ref_events)
+        assert (pairs, trace, events) == (ref_pairs, ref_trace, ref_events), (n, m, seed)
+    assert unequal >= 80
