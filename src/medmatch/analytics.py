@@ -67,10 +67,7 @@ def perturb_preferences(market: Market, spec: PerturbationSpec) -> Market:
             sample(row, len(row)) if rng.random() < spec.q else row
             for row in cm.prefs(spec.side)
         )
-        if spec.side == PATIENT:
-            categories.append(replace(cm, patient_prefs=lists))
-        else:
-            categories.append(replace(cm, doctor_prefs=lists))
+        categories.append(cm.with_prefs(spec.side, lists))
     return replace(market, categories=tuple(categories))
 
 

@@ -72,6 +72,10 @@ def cmd_run(args) -> int:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise harness.ConfigError(f"invalid config JSON: {exc}") from exc
+        except RecursionError:
+            raise harness.ConfigError(
+                "invalid config JSON: document is nested too deeply"
+            ) from None
     config = harness.ExperimentConfig.from_dict(doc)
     if args.seed is not None:
         config.seed = args.seed
@@ -92,8 +96,9 @@ def cmd_run(args) -> int:
     harness.emit(result.rows, config.fmt, out)
     if config.save_matchings:
         side_path = out + ".matchings.json"
-        with open(side_path, "w", encoding="utf-8") as handle:
-            json.dump(harness.matchings_to_jsonable(result.matchings), handle, indent=2)
+        harness.write_atomic(
+            side_path, json.dumps(harness.matchings_to_jsonable(result.matchings), indent=2)
+        )
         print(f"matchings: {side_path}")
     print(f"wrote {len(result.rows)} rows to {out}")
     for key, stats in sorted(harness.summarize(result.rows).items()):

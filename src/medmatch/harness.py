@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import stat
 from dataclasses import asdict, dataclass, field
 from statistics import fmean, stdev
 
@@ -244,8 +246,45 @@ def emit(rows: list[ResultRow], fmt: str, path: str) -> None:
         payload = rows_to_json(rows)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(payload)
+    write_atomic(path, payload)
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path as UTF-8, as open(path, "w") would, but atomically
+    where that can be done.
+
+    When path names a regular file with one link, or nothing yet, the text
+    goes to a temp file in the same directory that is synced to disk and
+    renamed over it, so a failed write or a crash leaves any earlier file
+    as it was and no temp file behind. A symlink is followed and its target
+    replaced. An existing file keeps its mode; a new one gets the mode
+    open() gives. Anything else (a device such as os.devnull, a pipe, a
+    file with more than one link) is written in place.
+    """
+    target = os.path.realpath(path)
+    try:
+        info = os.stat(target)
+    except FileNotFoundError:
+        info = None
+    if info is not None and (not stat.S_ISREG(info.st_mode) or info.st_nlink > 1):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    # Mode 0o666 less the umask, as open() creates files.
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if info is not None:
+            os.chmod(temp, stat.S_IMODE(info.st_mode))
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def summarize(rows: list[ResultRow]) -> dict[tuple[str, str, str], dict[str, float]]:

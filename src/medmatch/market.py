@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import ceil, log
 
@@ -94,24 +94,52 @@ class CategoryMarket:
 
     @cached_property
     def ranks(self) -> dict[str, list[list[int | None]]]:
-        """Per side, ranks[agent][counterpart]: the counterpart's 0-based
-        rank on the agent's list, None when unlisted. Built once per
-        category object; dataclasses.replace makes a new object, so a
-        perturbed category never shares its original's tables.
+        """Per side, ranks[side][agent][counterpart]: the counterpart's
+        0-based rank on the agent's list, None when unlisted. Each side's
+        table is built on its first lookup and cached on this category
+        object. A copy made by with_prefs shares the unchanged side's table;
+        tables are never mutated.
         """
+        return _RankTables(
+            {side: (self.prefs(side), len(self.roster(opposite(side)))) for side in SIDES}
+        )
+
+    def with_prefs(self, side: str, lists: tuple[tuple[int, ...], ...]) -> "CategoryMarket":
+        """A copy with side's preference lists replaced by lists. The copy
+        shares the other side's rank table, built here if this category has
+        not built it yet.
+        """
+        other = opposite(side)
+        copy = replace(self, **{f"{side}_prefs": lists})
+        copy.ranks[other] = self.ranks[other]
+        return copy
+
+
+class _RankTables(dict):
+    """Side -> rank table, each built on its first lookup.
+
+    It holds the lists it builds from, never their category, so a category
+    and its tables form no reference cycle and are freed by reference
+    counting alone.
+    """
+
+    def __init__(self, sources: dict[str, tuple[tuple[tuple[int, ...], ...], int]]):
+        super().__init__()
+        self._sources = sources
+
+    def __missing__(self, side: str) -> list[list[int | None]]:
+        prefs, width = self._sources[side]
         # Every rank is taken from one shared list, so the tables hold
         # references to the same int objects rather than one int per entry.
-        ints = list(range(max(len(self.patients), len(self.doctors))))
-        ranks = {}
-        for side in SIDES:
-            tables = []
-            for row in self.prefs(side):
-                table = [None] * len(self.roster(opposite(side)))
-                for rank, counterpart in zip(ints, row):
-                    table[counterpart] = rank
-                tables.append(table)
-            ranks[side] = tables
-        return ranks
+        ints = list(range(width))
+        tables = []
+        for row in prefs:
+            table = [None] * width
+            for rank, counterpart in zip(ints, row):
+                table[counterpart] = rank
+            tables.append(table)
+        self[side] = tables
+        return tables
 
 
 @dataclass(frozen=True)
@@ -418,6 +446,8 @@ def load_market(data: bytes | str) -> Market:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MarketFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise MarketFormatError("invalid JSON: document is nested too deeply") from None
     mode = _require(doc, "mode", str, "$")
     if mode not in MODES:
         raise MarketFormatError(f"mode must be one of {MODES}", "$.mode")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress, islice
 
 from .market import (
     DOCTOR,
@@ -105,30 +106,47 @@ class Matching:
 def ramhecs_category(
     cm: CategoryMarket, rng: random.Random
 ) -> tuple[frozenset[tuple[AgentId, AgentId]], CategoryTrace]:
-    """Randomized pairing: random unmatched patient, random available listed doctor."""
+    """Randomized pairing: random unmatched patient, random available listed doctor.
+
+    A patient's candidates are the free doctors on its list that list it
+    too, in its list order; it takes one at a uniformly random index, or
+    stays unmatched for good when there is none. When every doctor lists
+    every patient and the patient's list is full, the candidates are all
+    `left` free doctors: the index is drawn first and the list is scanned
+    only up to it, without rank tables. randrange(c) draws as choice(seq)
+    does when len(seq) == c, so both branches keep the same RNG stream.
+    """
     trace = CategoryTrace(cm.category)
+    n, m = len(cm.patients), len(cm.doctors)
     prefs = cm.patient_prefs
+    free = bytearray(b"\x01") * m
+    is_free = free.__getitem__
+    left = m
     # Mutual acceptability: a doctor is only a candidate for patients it lists.
-    doctor_ranks = cm.ranks[DOCTOR]
-    available = set(range(len(cm.doctors)))
-    active = list(range(len(cm.patients)))
+    everyone = all(len(row) == n for row in cm.doctor_prefs)
+    doctor_ranks = None if everyone else cm.ranks[DOCTOR]
+    active = list(range(n))
     pairs = []
     while active:
         trace.outer_iterations += 1
-        pos = rng.randrange(len(active))
-        t = active[pos]
-        candidates = [
-            d for d in prefs[t] if d in available and doctor_ranks[d][t] is not None
-        ]
-        if not candidates:
-            # Exhausted patient (partial lists): stays permanently unmatched.
-            active.pop(pos)
-            continue
-        d = rng.choice(candidates)
+        t = active.pop(rng.randrange(len(active)))
+        row = prefs[t]
+        if everyone and len(row) == m:
+            if not left:
+                continue
+            d = next(islice(compress(row, map(is_free, row)), rng.randrange(left), None))
+        else:
+            candidates = [
+                d for d in row if free[d] and (everyone or doctor_ranks[d][t] is not None)
+            ]
+            if not candidates:
+                # Exhausted patient (partial lists): stays permanently unmatched.
+                continue
+            d = rng.choice(candidates)
         trace.proposals += 1
         pairs.append((cm.patients[t], cm.doctors[d]))
-        active.pop(pos)
-        available.remove(d)
+        free[d] = 0
+        left -= 1
     return frozenset(pairs), trace
 
 

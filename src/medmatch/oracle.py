@@ -10,7 +10,7 @@ list, factorial-time by design, and is guarded to MISREPORT_LIMIT.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 
 from .market import DOCTOR, PATIENT, SIDES, AgentId, CategoryMarket, opposite
@@ -225,12 +225,9 @@ def check_truthfulness_exhaustive(
             if perm == row:
                 continue
             tried += 1
-            lists = prefs[:idx] + (perm,) + prefs[idx + 1 :]
-            if proposing_side == PATIENT:
-                altered = replace(cm, patient_prefs=lists)
-            else:
-                altered = replace(cm, doctor_prefs=lists)
-            partners = outcome(altered)
+            partners = outcome(
+                cm.with_prefs(proposing_side, prefs[:idx] + (perm,) + prefs[idx + 1 :])
+            )
             if partner_ranks(cm, partners, proposing_side)[idx] < truthful_scores[idx]:
                 misreport = tuple(counterparts[e] for e in perm)
                 new_partner = counterparts[partners[proposing_side][idx]]

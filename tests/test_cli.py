@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -156,3 +158,63 @@ def test_analytics_lemma6(capsys):
 
 def test_analytics_bad_parameters():
     assert main(["analytics", "lemma6", "--n", "8", "--trials", "10", "--p", "1.0"]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_deeply_nested_document_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    if command == "run":
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]
+    else:
+        argv = ["check", "stability", "--market", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("failing", ["results.csv", "results.csv.matchings.json"])
+def test_run_failed_write_keeps_earlier_outputs(tmp_path, monkeypatch, failing):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"k": 1, "n_patients": 3, "n_doctors": 3, "save_matchings": True})
+    )
+    out = tmp_path / "results.csv"
+    side = tmp_path / "results.csv.matchings.json"
+    out.write_text("old rows\n")
+    side.write_text("old matchings\n")
+    rename = os.replace
+
+    def fail_on(src, dst):
+        if os.path.basename(dst) == failing:
+            raise OSError("disk full")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert sorted(os.listdir(tmp_path)) == [
+        "config.json",
+        "results.csv",
+        "results.csv.matchings.json",
+    ]
+    assert side.read_text() == "old matchings\n"
+    if failing == "results.csv":
+        assert out.read_text() == "old rows\n"
+
+
+def test_run_out_through_a_symlink_updates_its_target(tmp_path, config_file):
+    target = tmp_path / "results.csv"
+    target.write_text("old rows\n")
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target)
+    assert main(["run", "--config", config_file, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith("rep,category,mechanism,")
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "latest.csv", "results.csv"]
+
+
+def test_run_out_devnull_writes_through_the_device(config_file):
+    assert main(["run", "--config", config_file, "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)

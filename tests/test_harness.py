@@ -1,5 +1,7 @@
 import json
-from dataclasses import asdict
+import os
+import stat
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -17,6 +19,7 @@ from medmatch.harness import (
     rows_to_csv,
     run_experiment,
     summarize,
+    write_atomic,
 )
 from medmatch.market import PATIENT
 from medmatch.metrics import preferable_allocation_count, satisfaction_level
@@ -142,6 +145,71 @@ def test_emit_json(tmp_path):
     records = json.loads(out.read_text())
     assert len(records) == len(rows)
     assert set(records[0]) == set(CSV_COLUMNS)
+
+
+def test_emit_failure_leaves_the_old_file(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("old\n")
+    rows = run_experiment(small_config()).rows
+    # A lone surrogate cannot be encoded as UTF-8: the write fails midway.
+    bad = rows[:1] + [replace(rows[1], mechanism="\ud800")] + rows[2:]
+    with pytest.raises(UnicodeEncodeError):
+        emit(bad, "csv", str(out))
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+def test_write_atomic_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    out = tmp_path / "rows.csv"
+    out.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(str(out), "new\n")
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+def test_write_atomic_gives_the_mode_open_gives(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("x\n")
+    out = tmp_path / "rows.csv"
+    write_atomic(str(out), "new\n")
+    assert out.read_text() == "new\n"
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_write_atomic_keeps_an_existing_mode(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    write_atomic(str(out), "new\n")
+    assert out.read_text() == "new\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+
+def test_write_atomic_writes_a_hard_linked_file_in_place(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("old\n")
+    other = tmp_path / "other.csv"
+    os.link(out, other)
+    write_atomic(str(out), "new\n")
+    assert other.read_text() == "new\n"
+    assert os.path.samefile(out, other)
+
+
+def test_write_atomic_syncs_before_rename(tmp_path, monkeypatch):
+    calls = []
+    fsync, rename = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync") or fsync(fd))
+    monkeypatch.setattr(
+        os, "replace", lambda src, dst: calls.append("replace") or rename(src, dst)
+    )
+    write_atomic(str(tmp_path / "rows.csv"), "new\n")
+    assert calls == ["fsync", "replace"]
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,16 @@ from medmatch import (
     tomhecs,
     validate_market,
 )
-from medmatch.market import DOCTOR, FULL, PARTIAL, PATIENT, _sampler, opposite
+from medmatch.market import (
+    DOCTOR,
+    FULL,
+    PARTIAL,
+    PATIENT,
+    CategoryMarket,
+    _sampler,
+    opposite,
+)
+from medmatch.oracle import check_truthfulness_exhaustive
 
 
 def test_reference_market_is_valid(ref_market):
@@ -163,6 +174,91 @@ def test_perturbed_category_has_its_own_view(ref_market):
         assert [table[e] for e in row] == list(range(len(row)))
     assert out.ranks[PATIENT] != original
     assert cm.ranks[PATIENT] is original
+    # The doctors' lists are unchanged, so their table is shared.
+    assert out.ranks[DOCTOR] is cm.ranks[DOCTOR]
+
+
+def rank_table(row, width):
+    return [row.index(c) if c in row else None for c in range(width)]
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+def test_ranks_builds_only_the_side_read(side):
+    cm = generate_random_market(1, 5, 3, list_length=2, seed=4).categories[0]
+    assert dict(cm.ranks) == {}
+    tables = cm.ranks[side]
+    assert list(cm.ranks) == [side]
+    width = len(cm.roster(opposite(side)))
+    assert tables == [rank_table(row, width) for row in cm.prefs(side)]
+    assert cm.ranks[side] is tables
+    with pytest.raises(KeyError):
+        cm.ranks["nurse"]
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+def test_with_prefs_shares_the_unchanged_side(side):
+    cm = generate_random_market(1, 4, 3, seed=2).categories[0]
+    other = opposite(side)
+    lists = tuple(row[::-1] for row in cm.prefs(side))
+    copy = cm.with_prefs(side, lists)
+    assert copy.prefs(side) == lists and copy.prefs(other) == cm.prefs(other)
+    assert (copy.category, copy.patients, copy.doctors) == (cm.category, cm.patients, cm.doctors)
+    # The unchanged side's table was built on the original and is shared.
+    assert list(cm.ranks) == [other]
+    assert copy.ranks[other] is cm.ranks[other]
+    width = len(cm.roster(other))
+    assert copy.ranks[side] == [rank_table(row, width) for row in lists]
+    assert cm.ranks[side] == [rank_table(row, width) for row in cm.prefs(side)]
+    assert copy.ranks[side] is not cm.ranks[side]
+    with pytest.raises(ValueError, match="unknown side"):
+        cm.with_prefs("nurse", lists)
+
+
+@pytest.mark.parametrize("proposing_side", [PATIENT, DOCTOR])
+def test_truthfulness_sweep_shares_the_true_receiver_tables(monkeypatch, proposing_side):
+    cm = generate_random_market(1, 4, 4, seed=6).categories[0]
+    copies = []
+    with_prefs = CategoryMarket.with_prefs
+
+    def spy(self, side, lists):
+        copies.append(with_prefs(self, side, lists))
+        return copies[-1]
+
+    monkeypatch.setattr(CategoryMarket, "with_prefs", spy)
+    reports = check_truthfulness_exhaustive(cm, proposing_side)
+    monkeypatch.undo()
+    assert len(copies) == sum(r.misreports_tried for r in reports) == 4 * 23
+    receiving = opposite(proposing_side)
+    for copy in copies:
+        # Deferred acceptance on a misreport read only the receivers' true
+        # table; the misreported lists never got a table of their own.
+        assert list(copy.ranks) == [receiving]
+        assert copy.ranks[receiving] is cm.ranks[receiving]
+    # The same reports as a sweep whose misreports share no table.
+    monkeypatch.setattr(
+        CategoryMarket,
+        "with_prefs",
+        lambda self, side, lists: dataclasses.replace(self, **{f"{side}_prefs": lists}),
+    )
+    assert check_truthfulness_exhaustive(cm, proposing_side) == reports
+
+
+def test_category_and_rank_tables_form_no_cycle():
+    # With the cycle collector off, only reference counting frees objects:
+    # a category whose tables point back at it would stay alive.
+    gc.disable()
+    try:
+        cm = generate_random_market(1, 6, 5, seed=1).categories[0]
+        copy = cm.with_prefs(PATIENT, cm.patient_prefs[::-1])
+        for category in (cm, copy):
+            category.ranks[PATIENT], category.ranks[DOCTOR]
+        refs = [weakref.ref(cm), weakref.ref(copy)]
+        del category, cm
+        assert refs[0]() is None
+        del copy
+        assert refs[1]() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,6 +325,11 @@ def test_hospital_labels_do_not_affect_matching(ref_market):
     a, _ = tomhecs(ref_market, PATIENT)
     b, _ = tomhecs(relabeled, PATIENT)
     assert labels(a.pairs(0)) == labels(b.pairs(0))
+
+
+def test_load_rejects_deeply_nested_document():
+    with pytest.raises(MarketFormatError, match="nested too deeply"):
+        load_market("[" * 100_000)
 
 
 def test_load_rejects_boolean_category_index():

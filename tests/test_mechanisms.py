@@ -12,7 +12,7 @@ from medmatch import (
     tomhecs,
 )
 from medmatch.market import DOCTOR, PARTIAL, PATIENT, Market, opposite
-from medmatch.mechanisms import CategoryTrace, tomhecs_category
+from medmatch.mechanisms import CategoryTrace, ramhecs_category, tomhecs_category
 from medmatch.oracle import find_blocking_pairs
 
 
@@ -70,6 +70,36 @@ def full_scan_deferred_acceptance(cm, proposing_side=PATIENT, events=None):
         for p, r in enumerate(engaged_to)
         if r is not None
     ]
+    return frozenset(pairs), trace
+
+
+def set_scan_ramhecs(cm, rng):
+    """Reference randomized pairing used to cross-check ramhecs_category:
+    every draw rebuilds the patient's candidate list by scanning its whole
+    list against a set of free doctors and the doctor rank table. O(n) per
+    draw; same pairs, counters and RNG draws.
+    """
+    trace = CategoryTrace(cm.category)
+    prefs = cm.patient_prefs
+    doctor_ranks = cm.ranks[DOCTOR]
+    available = set(range(len(cm.doctors)))
+    active = list(range(len(cm.patients)))
+    pairs = []
+    while active:
+        trace.outer_iterations += 1
+        pos = rng.randrange(len(active))
+        t = active[pos]
+        candidates = [
+            d for d in prefs[t] if d in available and doctor_ranks[d][t] is not None
+        ]
+        if not candidates:
+            active.pop(pos)
+            continue
+        d = rng.choice(candidates)
+        trace.proposals += 1
+        pairs.append((cm.patients[t], cm.doctors[d]))
+        active.pop(pos)
+        available.remove(d)
     return frozenset(pairs), trace
 
 
@@ -266,3 +296,62 @@ def test_tomhecs_matches_full_scan_reference(lists, side):
         ref_pairs, ref_trace = full_scan_deferred_acceptance(cm, side, ref_events)
         assert (pairs, trace, events) == (ref_pairs, ref_trace, ref_events), (n, m, seed)
     assert unequal >= 80
+
+
+def random_lists(rng, owners, width, full):
+    """One randomly ordered list per owner: every counterpart when full,
+    else a random-length subset."""
+    return [
+        rng.sample(range(width), width if full else rng.randint(0, width))
+        for _ in range(owners)
+    ]
+
+
+# lists -> whether patients' and doctors' lists are full; None draws it per market.
+RAMHECS_LISTS = {
+    "patients_full": (True, False),
+    "doctors_full": (False, True),
+    "random_length": (False, False),
+    "tiny": (None, None),
+}
+
+
+@pytest.mark.parametrize(
+    "lists", ["full", "full_unequal", "generator_partial", "empty", *RAMHECS_LISTS]
+)
+def test_ramhecs_matches_set_scan_reference(lists):
+    rng = random.Random(f"set-scan:{lists}")
+    for seed in range(60):
+        n, m = rng.randint(0, 40), rng.randint(0, 40)
+        if lists == "full":
+            m = n
+        elif lists == "tiny":
+            n, m = seed % 2, rng.randint(0, 3)
+        if lists in ("full", "full_unequal"):
+            market = generate_random_market(1, n, m, seed=seed)
+        elif lists == "generator_partial":
+            length = rng.randint(0, min(n, m))
+            market = generate_random_market(1, n, m, list_length=length, seed=seed)
+        elif lists == "empty":
+            market = market_from_rankings([[]] * n, [[]] * m, PARTIAL)
+        else:
+            full = [rng.random() < 0.5 if f is None else f for f in RAMHECS_LISTS[lists]]
+            market = market_from_rankings(
+                random_lists(rng, n, m, full[0]), random_lists(rng, m, n, full[1]), PARTIAL
+            )
+        cm = market.categories[0]
+        rng_new, rng_ref = random.Random(seed), random.Random(seed)
+        pairs, trace = ramhecs_category(cm, rng_new)
+        ref_pairs, ref_trace = set_scan_ramhecs(cm, rng_ref)
+        assert (pairs, trace) == (ref_pairs, ref_trace), (n, m, seed)
+        assert rng_new.getstate() == rng_ref.getstate(), (n, m, seed)
+
+
+def test_randrange_and_choice_draw_alike():
+    # ramhecs_category draws an index with randrange(c) where the reference
+    # picks with choice over c candidates: both must take one _randbelow(c).
+    for c in list(range(1, 70)) + [255, 256, 257, 1023, 1024, 4096, 2**31 + 1]:
+        a, b = random.Random(c), random.Random(c)
+        for _ in range(20):
+            assert a.randrange(c) == b.choice(range(c))
+        assert a.getstate() == b.getstate()
