@@ -31,7 +31,6 @@ from .oracle import (
     check_truthfulness_exhaustive,
     enumerate_stable_matchings,
     find_blocking_pairs,
-    is_perfect,
     is_stable,
 )
 from .metrics import (

@@ -123,7 +123,7 @@ def estimate_total_distance(
         cm = category_from_rankings(0, prefs, [doctors] * n)
         pairs, _ = ramhecs_category(cm, rng)
         ranks = cm.ranks[PATIENT]
-        samples.append(sum(ranks[p.ordinal][d.ordinal] for p, d in pairs))
+        samples.append(sum(ranks[p][d] for p, d in pairs))
     return _summarize(samples, {"n": n, "model": model})
 
 

@@ -70,12 +70,15 @@ def cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise harness.ConfigError(f"invalid config JSON: {exc}") from exc
         except RecursionError:
             raise harness.ConfigError(
                 "invalid config JSON: document is nested too deeply"
             ) from None
+        except UnicodeDecodeError as exc:
+            raise harness.ConfigError(f"config {args.config} is not UTF-8 text: {exc}") from exc
+        except ValueError as exc:
+            # JSONDecodeError, or an integer past the digit limit.
+            raise harness.ConfigError(f"invalid config JSON: {exc}") from exc
     config = harness.ExperimentConfig.from_dict(doc)
     if args.seed is not None:
         config.seed = args.seed

@@ -23,7 +23,6 @@ from .market import (
     MODES,
     PARTIAL,
     PATIENT,
-    Market,
     generate_random_market,
     opposite,
 )
@@ -325,22 +324,11 @@ def matchings_to_jsonable(matchings: dict[tuple[int, str, str], Matching]) -> li
                 "preset": preset,
                 "pairs": {
                     str(category): sorted(
-                        [p.label, d.label] for p, d in pairs
+                        [p.label, d.label] for p, d in matching.pairs(category)
                     )
-                    for category, pairs in sorted(matching.by_category.items())
+                    for category in sorted(matching.by_category)
                 },
             }
         )
     return records
 
-
-def matching_from_jsonable(record: dict, market: Market) -> Matching:
-    by_category = {}
-    for cm in market.categories:
-        patients = {a.label: a for a in cm.patients}
-        doctors = {a.label: a for a in cm.doctors}
-        pairs = record["pairs"].get(str(cm.category), [])
-        by_category[cm.category] = frozenset(
-            (patients[p], doctors[d]) for p, d in pairs
-        )
-    return Matching(by_category)

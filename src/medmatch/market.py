@@ -3,9 +3,9 @@
 A market is a collection of independent categories. Within a category each
 patient ranks some (or all) of the doctors and each doctor ranks some (or
 all) of the patients. Each list is stored once, as opposite-roster
-ordinals, best first; `AgentId` labels agents only in rosters, matchings,
-trace events, messages and the JSON wire format. All types are immutable
-after construction.
+ordinals, best first, and matchings pair ordinals too; `AgentId` labels
+agents only in rosters, trace events, messages and the JSON wire format.
+All types are immutable after construction.
 
 Random lists are drawn by `_sampler(rng)`, whose `sample(population, k)`
 makes the same `rng.getrandbits` calls as the standard library's
@@ -444,10 +444,14 @@ def load_market(data: bytes | str) -> Market:
     """Parse the canonical JSON document; unknown extra fields are ignored."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MarketFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise MarketFormatError("invalid JSON: document is nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise MarketFormatError(f"undecodable text: {exc}", "$") from exc
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past the interpreter's
+        # digit limit for int conversion.
+        raise MarketFormatError(f"invalid JSON: {exc}") from exc
     mode = _require(doc, "mode", str, "$")
     if mode not in MODES:
         raise MarketFormatError(f"mode must be one of {MODES}", "$.mode")

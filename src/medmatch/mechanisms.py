@@ -1,10 +1,10 @@
 """The two allocation mechanisms: random serial pairing and deferred acceptance.
 
 Both operate per category (categories are independent sub-markets) and
-return a Matching plus TraceStats counters. The deferred-acceptance
-mechanism is fully deterministic; the randomized one derives a dedicated
-RNG stream per (seed, category) so categories could be processed in any
-order with identical results.
+return a Matching of (patient, doctor) ordinal pairs plus TraceStats
+counters. The deferred-acceptance mechanism is fully deterministic; the
+randomized one derives a dedicated RNG stream per (seed, category) so
+categories could be processed in any order with identical results.
 """
 
 from __future__ import annotations
@@ -57,55 +57,50 @@ class TraceStats:
     def outer_iterations(self) -> int:
         return sum(t.outer_iterations for t in self.per_category)
 
-    def for_category(self, index: int) -> CategoryTrace:
-        for t in self.per_category:
-            if t.category == index:
-                return t
-        raise KeyError(index)
-
 
 @dataclass
 class Matching:
-    """Per-category sets of (patient, doctor) pairs."""
+    """Per category, a set of (patient ordinal, doctor ordinal) pairs and
+    the (patients, doctors) roster tuples those ordinals index.
+    """
 
-    by_category: dict[int, frozenset[tuple[AgentId, AgentId]]]
+    rosters: dict[int, tuple[tuple[AgentId, ...], tuple[AgentId, ...]]]
+    by_category: dict[int, frozenset[tuple[int, int]]]
 
     def pairs(self, category: int) -> frozenset[tuple[AgentId, AgentId]]:
-        return self.by_category[category]
-
-    def as_maps(self, category: int) -> tuple[dict[AgentId, AgentId], dict[AgentId, AgentId]]:
-        patient_to_doctor = {}
-        doctor_to_patient = {}
-        for p, d in self.by_category[category]:
-            patient_to_doctor[p] = d
-            doctor_to_patient[d] = p
-        return patient_to_doctor, doctor_to_patient
+        patients, doctors = self.rosters[category]
+        return frozenset((patients[i], doctors[j]) for i, j in self.by_category[category])
 
     def matched_count(self, category: int) -> int:
         return len(self.by_category[category])
 
     def partners(self, cm: CategoryMarket) -> dict[str, list[int | None]]:
         """Each agent's partner ordinal in category cm, per side; None when
-        unmatched. Raises ValueError for a pair naming an agent not on cm's
-        rosters.
+        unmatched. Raises ValueError when the matching was computed on other
+        rosters or names an ordinal off cm's rosters.
         """
-        partner: dict[str, list[int | None]] = {
-            PATIENT: [None] * len(cm.patients),
-            DOCTOR: [None] * len(cm.doctors),
-        }
-        for p, d in self.by_category[cm.category]:
-            i, j = p.ordinal, d.ordinal
-            # Slicing, not indexing: an ordinal off the roster gives an empty slice.
-            if cm.patients[i : i + 1] != (p,) or cm.doctors[j : j + 1] != (d,):
-                raise ValueError(f"matching references unknown agents ({p!r}, {d!r})")
-            partner[PATIENT][i] = j
-            partner[DOCTOR][j] = i
-        return partner
+        n, m = len(cm.patients), len(cm.doctors)
+        # Tuple comparison tries identity first: O(1) for the rosters that
+        # with_prefs copies share with their original.
+        if self.rosters[cm.category] != (cm.patients, cm.doctors):
+            raise ValueError(
+                f"matching references unknown agents: not category {cm.category}'s rosters"
+            )
+        patient_partner: list[int | None] = [None] * n
+        doctor_partner: list[int | None] = [None] * m
+        for i, j in self.by_category[cm.category]:
+            if not (0 <= i < n and 0 <= j < m):
+                raise ValueError(
+                    f"matching references unknown agents (patient {i}, doctor {j})"
+                )
+            patient_partner[i] = j
+            doctor_partner[j] = i
+        return {PATIENT: patient_partner, DOCTOR: doctor_partner}
 
 
 def ramhecs_category(
     cm: CategoryMarket, rng: random.Random
-) -> tuple[frozenset[tuple[AgentId, AgentId]], CategoryTrace]:
+) -> tuple[frozenset[tuple[int, int]], CategoryTrace]:
     """Randomized pairing: random unmatched patient, random available listed doctor.
 
     A patient's candidates are the free doctors on its list that list it
@@ -144,7 +139,7 @@ def ramhecs_category(
                 continue
             d = rng.choice(candidates)
         trace.proposals += 1
-        pairs.append((cm.patients[t], cm.doctors[d]))
+        pairs.append((t, d))
         free[d] = 0
         left -= 1
     return frozenset(pairs), trace
@@ -154,7 +149,7 @@ def tomhecs_category(
     cm: CategoryMarket,
     proposing_side: str = PATIENT,
     events: list[tuple] | None = None,
-) -> tuple[frozenset[tuple[AgentId, AgentId]], CategoryTrace]:
+) -> tuple[frozenset[tuple[int, int]], CategoryTrace]:
     """Deferred acceptance within one category, batch proposal order.
 
     Every free proposer proposes to its most-preferred counterpart not yet
@@ -231,15 +226,10 @@ def tomhecs_category(
         rejected.sort()
         free = rejected
 
-    pairs = []
-    for p, r in enumerate(engaged_to):
-        if r is None:
-            continue
-        if proposing_side == PATIENT:
-            pairs.append((proposers[p], receivers[r]))
-        else:
-            pairs.append((receivers[r], proposers[p]))
-    return frozenset(pairs), trace
+    # Per patient, its doctor: the receiver it holds when patients propose,
+    # the proposer holding it when doctors do.
+    partner = engaged_to if proposing_side == PATIENT else holder
+    return frozenset((p, d) for p, d in enumerate(partner) if d is not None), trace
 
 
 def run_categories(
@@ -257,7 +247,7 @@ def run_categories(
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if proposing_side not in SIDES:
         raise ValueError(f"unknown proposing side {proposing_side!r}")
-    by_category = {}
+    rosters, by_category = {}, {}
     stats = TraceStats(events=[] if record_trace else None)
     for cm in market.categories:
         if mechanism == RAMHECS:
@@ -265,9 +255,10 @@ def run_categories(
             pairs, trace = ramhecs_category(cm, rng)
         else:
             pairs, trace = tomhecs_category(cm, proposing_side, stats.events)
+        rosters[cm.category] = (cm.patients, cm.doctors)
         by_category[cm.category] = pairs
         stats.per_category.append(trace)
-    return Matching(by_category), stats
+    return Matching(rosters, by_category), stats
 
 
 def _validated_run(market: Market, *args, **kwargs) -> tuple[Matching, TraceStats]:

@@ -67,11 +67,6 @@ def is_stable(cm: CategoryMarket, matching: Matching) -> bool:
     return not find_blocking_pairs(cm, matching)
 
 
-def is_perfect(cm: CategoryMarket, matching: Matching) -> bool:
-    count = matching.matched_count(cm.category)
-    return count == len(cm.patients) == len(cm.doctors)
-
-
 def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> list[int | None]:
     """Proposer-optimal stable matching by sequential deferred acceptance:
     one free proposer at a time proposes down its list. Returns, per
@@ -168,15 +163,14 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
             if reached not in seen:
                 seen.add(reached)
                 stack.append(reached)
-    result = []
-    for assignment in sorted(seen):
-        pairs = frozenset(
-            (cm.patients[p], cm.doctors[d])
-            for p, d in enumerate(assignment)
-            if d != -1
+    rosters = (cm.patients, cm.doctors)
+    return [
+        Matching(
+            {cm.category: rosters},
+            {cm.category: frozenset((p, d) for p, d in enumerate(a) if d != -1)},
         )
-        result.append(Matching({cm.category: pairs}))
-    return result
+        for a in sorted(seen)
+    ]
 
 
 def check_requesting_party_optimal(
@@ -208,9 +202,11 @@ def check_truthfulness_exhaustive(
     if any(None in ranks for side in SIDES for ranks in cm.ranks[side]):
         raise ValueError("misreport sweep requires full preference lists")
 
+    rosters = (cm.patients, cm.doctors)
+
     def outcome(category: CategoryMarket) -> dict[str, list[int | None]]:
         pairs, _ = tomhecs_category(category, proposing_side)
-        return Matching({cm.category: pairs}).partners(cm)
+        return Matching({cm.category: rosters}, {cm.category: pairs}).partners(cm)
 
     truthful = outcome(cm)
     # Every outcome is scored on cm, the TRUE preferences.

@@ -106,6 +106,15 @@ def test_run_rejects_mistyped_config(tmp_path, capsys, doc, field):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_run_config_integer_past_the_digit_limit(tmp_path, capsys):
+    # Past sys.get_int_max_str_digits(), json.load raises a bare ValueError.
+    path = tmp_path / "config.json"
+    path.write_text('{"unknown": ' + "1" * 5000 + "}")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "error: invalid config JSON: " in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_missing_config_is_io_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -171,6 +180,25 @@ def test_deeply_nested_document_is_refused(tmp_path, capsys, command):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "nested too deeply" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_undecodable_file_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b'{"k": 1, "mode": "full\xff"}')
+    if command == "run":
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]
+        named = str(path)
+    else:
+        argv = ["check", "stability", "--market", str(path)]
+        named = "error: $: "
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+    assert "can't decode byte 0xff" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
 

@@ -1,9 +1,10 @@
-"""Golden output: `match run` CSV and stdout bytes, and the `store_market`
-wire format, are pinned across commits.
+"""Golden output: `match run` CSV, stdout and saved-matchings bytes, and the
+`store_market` wire format, are pinned across commits.
 
 The `match run` digests were recorded from the code before the integer-view
 refactor, the `store_market` digests from the code before preference lists
-were stored as ordinals; any change to them is a change to byte-identical
+were stored as ordinals, the saved-matchings digests from the code before
+matchings held ordinal pairs; any change to them is a change to byte-identical
 output and must be deliberate.
 """
 
@@ -53,6 +54,24 @@ def test_match_run_output_bytes(name, tmp_path, monkeypatch, capsys):
         stdout.encode() + b"\0" + (tmp_path / "results.csv").read_bytes()
     ).hexdigest()
     assert digest == expected
+
+
+# sha256 of results.csv.matchings.json from `match run` with save_matchings
+# set on each CASES config, recorded before matchings held ordinal pairs.
+SAVED_MATCHINGS = {
+    "full": "38b3da99c3daaf111d0f659da3c0f46f983f6cf8c5eec8e7739a48270ad1c3c4",
+    "partial-unequal": "25e2cebee9b9b68c01b1f1fc8231cf3d5ac1dc196dd2db42adb8a6f8daac3175",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_MATCHINGS))
+def test_match_run_saved_matchings_bytes(name, tmp_path, monkeypatch):
+    config, _ = CASES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(dict(config, save_matchings=True)))
+    assert main(["run", "--config", "config.json", "--out", "results.csv"]) == 0
+    side = (tmp_path / "results.csv.matchings.json").read_bytes()
+    assert hashlib.sha256(side).hexdigest() == SAVED_MATCHINGS[name]
 
 
 STORED = {

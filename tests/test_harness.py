@@ -7,14 +7,13 @@ import pytest
 
 import medmatch.market
 import medmatch.mechanisms
-from medmatch import generate_random_market, run_mechanism
+from medmatch import Matching, generate_random_market, run_mechanism
 from medmatch.analytics import PerturbationSpec, perturb_preferences
 from medmatch.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
     emit,
-    matching_from_jsonable,
     matchings_to_jsonable,
     rows_to_csv,
     run_experiment,
@@ -71,7 +70,7 @@ def test_single_rep_matches_direct_calls():
     for row in rows:
         assert row.eta == eta_by_cat[row.category]
         assert row.zeta == zeta_by_cat[row.category]
-        assert row.proposals == stats.for_category(row.category).proposals
+        assert row.proposals == stats.per_category[row.category].proposals
         assert row.matched_count == matching.matched_count(row.category)
 
 
@@ -259,7 +258,15 @@ def test_saved_matchings_round_trip_consistency():
     for record in json.loads(blob):
         rep = record["rep"]
         market = generate_random_market(2, 4, 4, seed=f"{config.seed}:market:{rep}")
-        matching = matching_from_jsonable(record, market)
+        rosters, by_category = {}, {}
+        for cm in market.categories:
+            patients = {a.label: i for i, a in enumerate(cm.patients)}
+            doctors = {a.label: j for j, a in enumerate(cm.doctors)}
+            rosters[cm.category] = (cm.patients, cm.doctors)
+            by_category[cm.category] = frozenset(
+                (patients[p], doctors[d]) for p, d in record["pairs"][str(cm.category)]
+            )
+        matching = Matching(rosters, by_category)
         eta_by_cat, _ = satisfaction_level(market, matching, PATIENT)
         for row in result.rows:
             if row.rep == rep:

@@ -342,6 +342,55 @@ def test_load_rejects_boolean_category_index():
     assert err.value.path == "$.categories[1].index"
 
 
+def test_load_rejects_undecodable_bytes():
+    # Neither UTF-8 nor, after its byte-order mark, valid UTF-16.
+    for data in (b"\x80{}", b"\xff\xfe{"):
+        with pytest.raises(MarketFormatError, match="can't decode") as err:
+            load_market(data)
+        assert err.value.path == "$"
+
+
+def test_load_rejects_integer_past_the_digit_limit():
+    # Past sys.get_int_max_str_digits(), json.loads raises a bare ValueError.
+    with pytest.raises(MarketFormatError):
+        load_market(b'{"mode": "full", "categories": [{"index": ' + b"1" * 5000 + b"}]}")
+
+
+# The byte fuzz starts from a stored partial market with unequal rosters.
+FUZZ_SEED = store_market(
+    market_from_rankings([[2, 0], [], [1]], [[1, 0], [0, 2], []], mode=PARTIAL)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("flip", "delete", "insert")),
+            st.integers(0, 1 << 16),
+            st.integers(0, 255),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_load_refuses_mutated_bytes_only_with_market_format_error(edits):
+    data = bytearray(FUZZ_SEED)
+    for kind, position, value in edits:
+        if kind == "insert":
+            data.insert(position % (len(data) + 1), value)
+        elif data:
+            i = position % len(data)
+            if kind == "flip":
+                data[i] ^= 1 << (value % 8)
+            else:
+                del data[i]
+    try:
+        load_market(bytes(data))
+    except MarketFormatError:
+        pass
+
+
 def uses_pool_branch(n, k):
     """Random.sample's rule: a pool list when it is smaller than a k-set."""
     return n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)

@@ -1,10 +1,14 @@
 import pytest
 
+from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS
 from medmatch import (
     Matching,
+    PerturbationSpec,
+    find_blocking_pairs,
     generate_random_market,
     market_from_rankings,
     metrics_report,
+    perturb_preferences,
     preferable_allocation_count,
     ramhecs,
     satisfaction_level,
@@ -101,18 +105,18 @@ def test_unmatched_agents_score_list_length():
 
 def test_partner_absent_from_list_is_an_error():
     partial = market_from_rankings([[0], [1]], [[0], [1]], mode="partial")
+    cm = partial.categories[0]
     # Force a pair that is not on the patient's list.
-    bogus = Matching({0: frozenset({(partial.categories[0].patients[0],
-                                     partial.categories[0].doctors[1])})})
+    bogus = Matching({0: (cm.patients, cm.doctors)}, {0: frozenset({(0, 1)})})
     with pytest.raises(ValueError, match="absent from its list"):
         satisfaction_level(partial, bogus, PATIENT)
 
 
 def test_foreign_agents_are_rejected(ref_market):
-    # A pair from another market names no agent of ref_market; scoring it
-    # as "everyone unmatched" would hide the mistake.
+    # A matching from another market indexes other rosters; scoring it
+    # against ref_market's would hide the mistake.
     single = market_from_rankings([[0]], [[0]])
-    foreign = Matching({0: tomhecs(single, PATIENT)[0].pairs(0)})
+    foreign, _ = tomhecs(single, PATIENT)
     with pytest.raises(ValueError, match="unknown agents"):
         satisfaction_level(ref_market, foreign, PATIENT)
     with pytest.raises(ValueError, match="unknown agents"):
@@ -134,3 +138,36 @@ def test_mean_ordering_tomhecs_vs_ramhecs():
         zeta_r += preferable_allocation_count(market, mr, PATIENT)[1]
     assert eta_t / trials <= eta_r / trials
     assert zeta_t / trials >= zeta_r / trials
+
+
+@pytest.mark.parametrize("case", ["negative_ordinal", "off_roster", "other_rosters"])
+def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
+    cm = ref_market.categories[0]
+    rosters = (cm.patients, cm.doctors)
+    pairs = {(0, 2), (1, 0)}
+    if case == "negative_ordinal":
+        # Index -1 would silently read the last patient, p4.
+        pairs.add((-1, 3))
+    elif case == "off_roster":
+        pairs.add((2, 4))
+    else:
+        # Same lengths, other agents: the default hospitals differ from
+        # ref_market's, though every pair is in range.
+        other = market_from_rankings(REF_PATIENT_RANKINGS, REF_DOCTOR_RANKINGS)
+        rosters = (other.categories[0].patients, other.categories[0].doctors)
+    matching = Matching({0: rosters}, {0: frozenset(pairs)})
+    with pytest.raises(ValueError, match="unknown agents"):
+        satisfaction_level(ref_market, matching, PATIENT)
+    with pytest.raises(ValueError, match="unknown agents"):
+        find_blocking_pairs(cm, matching)
+
+
+def test_matching_on_a_with_prefs_copy_scores_on_the_original(ref_market):
+    perturbed = perturb_preferences(ref_market, PerturbationSpec(PATIENT, 1.0, seed=3))
+    assert perturbed.categories[0].patient_prefs != ref_market.categories[0].patient_prefs
+    matching, _ = tomhecs(perturbed, PATIENT)
+    cm = ref_market.categories[0]
+    ranks = cm.ranks[PATIENT]
+    expected = sum(ranks[p.ordinal][d.ordinal] for p, d in matching.pairs(0))
+    assert satisfaction_level(ref_market, matching, PATIENT) == ({0: expected}, expected)
+    assert isinstance(find_blocking_pairs(cm, matching), list)

@@ -10,7 +10,6 @@ from medmatch import (
     enumerate_stable_matchings,
     find_blocking_pairs,
     generate_random_market,
-    is_perfect,
     is_stable,
     market_from_rankings,
     ramhecs,
@@ -24,17 +23,15 @@ from medmatch.metrics import partner_ranks
 def pair_up(cm, assignment):
     """Matching from {patient ordinal: doctor ordinal}."""
     return Matching(
-        {
-            cm.category: frozenset(
-                (cm.patients[p], cm.doctors[d]) for p, d in assignment.items()
-            )
-        }
+        {cm.category: (cm.patients, cm.doctors)},
+        {cm.category: frozenset(assignment.items())},
     )
 
 
 def naive_blocking_scan(cm, matching):
     """Independently coded pairwise scan used to cross-check the oracle."""
-    p_to_d, d_to_p = matching.as_maps(cm.category)
+    p_to_d = dict(matching.pairs(cm.category))
+    d_to_p = {d: p for p, d in p_to_d.items()}
     found = set()
     for patient, plist in zip(cm.patients, cm.patient_prefs):
         for doctor, dlist in zip(cm.doctors, cm.doctor_prefs):
@@ -107,7 +104,7 @@ def test_tomhecs_output_has_no_blocking_pairs(ref_market, ref_category):
     matching, _ = tomhecs(ref_market, PATIENT)
     assert find_blocking_pairs(ref_category, matching) == []
     assert is_stable(ref_category, matching)
-    assert is_perfect(ref_category, matching)
+    assert matching.matched_count(0) == len(ref_category.patients) == len(ref_category.doctors)
 
 
 def test_unstable_perfect_matching_is_flagged(ref_category):
@@ -119,9 +116,9 @@ def test_unstable_perfect_matching_is_flagged(ref_category):
 
 
 def test_empty_matching_is_unstable(ref_category):
-    matching = Matching({0: frozenset()})
+    matching = pair_up(ref_category, {})
     assert not is_stable(ref_category, matching)
-    assert not is_perfect(ref_category, matching)
+    assert not matching.matched_count(0) == len(ref_category.patients) == len(ref_category.doctors)
 
 
 def test_single_mutual_pair_is_stable():
@@ -129,15 +126,15 @@ def test_single_mutual_pair_is_stable():
     cm = market.categories[0]
     matching = pair_up(cm, {0: 0})
     assert is_stable(cm, matching)
-    assert is_perfect(cm, matching)
+    assert matching.matched_count(0) == len(cm.patients) == len(cm.doctors)
     assert len(enumerate_stable_matchings(cm)) == 1
 
 
 def test_unknown_agents_rejected(ref_category):
     market = market_from_rankings([[0]], [[0]])
-    foreign = next(iter(tomhecs(market, PATIENT)[0].pairs(0)))
+    foreign, _ = tomhecs(market, PATIENT)
     with pytest.raises(ValueError, match="unknown agents"):
-        find_blocking_pairs(ref_category, Matching({0: frozenset({foreign})}))
+        find_blocking_pairs(ref_category, foreign)
 
 
 def test_enumeration_contains_proposer_optimal_matching(ref_market, ref_category):
