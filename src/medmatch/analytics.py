@@ -39,10 +39,6 @@ class PerturbationSpec:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"deviation probability {self.q} outside [0, 1]")
 
-    @classmethod
-    def from_preset(cls, side: str, preset: str, seed: int | str = 0) -> "PerturbationSpec":
-        return cls(side, PRESET_PROBABILITIES[preset], seed)
-
 
 @dataclass
 class EstimateResult:

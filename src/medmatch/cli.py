@@ -5,12 +5,15 @@ Subcommands:
   match check stability|optimality|truthfulness --market m.json [--side ...]
   match analytics lemma4|lemma5|lemma6 --n N --trials T [--seed S] [--p P]
 
-Exit codes: 0 success, 1 validation/check failure, 2 I/O error.
+Exit codes: 0 success, 1 validation/check failure, 2 I/O error, 3 check
+refused (an instance outside the oracle's guards: rosters too large, or
+partial lists for the misreport sweep).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,7 +57,9 @@ def _add_analytics(subparsers):
     p.set_defaults(func=cmd_analytics)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `match` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="match",
         description="Two-sided categorized patient-doctor matching toolkit.",
@@ -169,9 +174,13 @@ def cmd_analytics(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # MarketFormatError, InvalidMarketError and ConfigError are ValueErrors.
+    # CheckRefused, MarketFormatError, InvalidMarketError and ConfigError
+    # are ValueErrors.
     try:
         return args.func(args)
+    except oracle.CheckRefused as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,9 @@ import json
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from math import ceil, log
+from operator import attrgetter
 
 PATIENT = "patient"
 DOCTOR = "doctor"
@@ -150,6 +152,16 @@ class Market:
 
 def _check_roster(cm: CategoryMarket, side: str, out: list[str]) -> None:
     roster = cm.roster(side)
+    # A valid roster passes whole-roster checks that run in C; only a
+    # roster that fails one is walked agent by agent to word its violations.
+    if (
+        type(cm.category) is int
+        and set(map(type, roster)) <= {AgentId}
+        and list(map(attrgetter("side"), roster)) == [side] * len(roster)
+        and list(map(attrgetter("category"), roster)) == [cm.category] * len(roster)
+        and list(map(attrgetter("ordinal"), roster)) == list(range(len(roster)))
+    ):
+        return
     for pos, agent in enumerate(roster):
         where = f"category {cm.category} {side} roster position {pos}"
         if not isinstance(agent, AgentId):
@@ -172,6 +184,20 @@ def _check_prefs(cm: CategoryMarket, side: str, mode: str, out: list[str]) -> No
             f"category {cm.category}: {len(roster)} {side}s but "
             f"{len(prefs)} preference lists"
         )
+        return
+    # A valid side passes whole-side checks that run in C: exact types,
+    # the entry range, one set per row and, in full mode, the row length.
+    # Only a side that fails one is walked entry by entry to word its
+    # violations.
+    width = len(counterparts)
+    if (
+        set(map(type, prefs)) <= {tuple}
+        and set(map(type, chain.from_iterable(prefs))) <= {int}
+        and min(chain.from_iterable(prefs), default=0) >= 0
+        and max(chain.from_iterable(prefs), default=-1) < width
+        and list(map(len, map(set, prefs))) == list(map(len, prefs))
+        and (mode != FULL or set(map(len, prefs)) <= {width})
+    ):
         return
     for agent, row in zip(roster, prefs):
         if not isinstance(row, tuple):
@@ -424,6 +450,7 @@ def _load_prefs(
     """Each owner's list, in roster order, as target roster ordinals."""
     table = _require(doc, key, dict, path)
     prefs = []
+    resolve = targets.__getitem__
     for ident in owners:
         ppath = f"{path}.{key}.{ident}"
         if ident not in table:
@@ -431,12 +458,13 @@ def _load_prefs(
         ranking = table[ident]
         if not isinstance(ranking, list):
             raise MarketFormatError("preference list must be an array", ppath)
-        resolved = []
-        for entry in ranking:
-            if not isinstance(entry, str) or entry not in targets:
-                raise MarketFormatError(f"unknown agent id {entry!r}", ppath)
-            resolved.append(targets[entry])
-        prefs.append(tuple(resolved))
+        try:
+            prefs.append(tuple(map(resolve, ranking)))
+        except (KeyError, TypeError):
+            # Not every entry is a known id (an unhashable one raises
+            # TypeError): name the first that is not.
+            bad = next(e for e in ranking if not isinstance(e, str) or e not in targets)
+            raise MarketFormatError(f"unknown agent id {bad!r}", ppath) from None
     return tuple(prefs)
 
 

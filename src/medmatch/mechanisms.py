@@ -149,6 +149,8 @@ def tomhecs_category(
     cm: CategoryMarket,
     proposing_side: str = PATIENT,
     events: list[tuple] | None = None,
+    *,
+    prefs: tuple[tuple[int, ...], ...] | None = None,
 ) -> tuple[frozenset[tuple[int, int]], CategoryTrace]:
     """Deferred acceptance within one category, batch proposal order.
 
@@ -162,11 +164,16 @@ def tomhecs_category(
     visits just the proposers rejected in the round before, in ascending
     ordinal order: the same proposals in the same order as a scan of the
     whole roster, in O(proposals) time rather than O(rounds x roster).
+
+    prefs, when given, are the proposers' lists to run on in place of cm's
+    (one valid list per proposer); the receivers still rank by cm's own
+    table. The misreport sweep runs each misreport this way.
     """
     trace = CategoryTrace(cm.category)
     proposers = cm.roster(proposing_side)
     receivers = cm.roster(opposite(proposing_side))
-    prefs = cm.prefs(proposing_side)
+    if prefs is None:
+        prefs = cm.prefs(proposing_side)
     ranks = cm.ranks[opposite(proposing_side)]
 
     next_choice = [0] * len(proposers)

@@ -4,7 +4,8 @@ The blocking-pair scan is quadratic. Stable matchings are enumerated by
 rotation elimination over the stable-matching lattice, in time polynomial
 per matching found; it is still guarded to rosters of at most
 ENUMERATION_LIMIT agents. The misreport sweep tries every permutation of a
-list, factorial-time by design, and is guarded to MISREPORT_LIMIT.
+list, factorial-time by design, and is guarded to MISREPORT_LIMIT. A guard
+that declines an instance raises CheckRefused.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from .metrics import partner_ranks
 
 ENUMERATION_LIMIT = 8
 MISREPORT_LIMIT = 5
+
+
+class CheckRefused(ValueError):
+    """A check declined an instance outside its guard: rosters too large,
+    or partial lists where the sweep needs full ones. Nothing was checked.
+    """
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
     """
     n, m = len(cm.patients), len(cm.doctors)
     if max(n, m) > ENUMERATION_LIMIT:
-        raise ValueError(
+        raise CheckRefused(
             f"instance too large: max roster {max(n, m)} > {ENUMERATION_LIMIT}"
         )
     patient_prefs = cm.patient_prefs
@@ -191,42 +198,50 @@ def check_truthfulness_exhaustive(
 ) -> list[TruthfulnessReport]:
     """Sweep every single-proposer misreport (all permutations of the opposite
     roster) and record any strict improvement under the TRUE preferences.
+
+    Each misreport runs tomhecs_category on the proposers' lists with one
+    list swapped, against cm's true receiver table; only the misreporting
+    proposer's partner is read from the result.
     """
     counterparts = cm.roster(opposite(proposing_side))
     proposers = cm.roster(proposing_side)
     prefs = cm.prefs(proposing_side)
     if len(counterparts) > MISREPORT_LIMIT:
-        raise ValueError(
+        raise CheckRefused(
             f"instance too large: opposite roster {len(counterparts)} > {MISREPORT_LIMIT}"
         )
     if any(None in ranks for side in SIDES for ranks in cm.ranks[side]):
-        raise ValueError("misreport sweep requires full preference lists")
+        raise CheckRefused("misreport sweep requires full preference lists")
 
-    rosters = (cm.patients, cm.doctors)
+    # Where the proposer and its partner sit in a (patient, doctor) pair.
+    mine, theirs = (0, 1) if proposing_side == PATIENT else (1, 0)
 
-    def outcome(category: CategoryMarket) -> dict[str, list[int | None]]:
-        pairs, _ = tomhecs_category(category, proposing_side)
-        return Matching({cm.category: rosters}, {cm.category: pairs}).partners(cm)
+    def partner_of(pairs: frozenset[tuple[int, int]], idx: int) -> int | None:
+        for pair in pairs:
+            if pair[mine] == idx:
+                return pair[theirs]
+        return None
 
-    truthful = outcome(cm)
-    # Every outcome is scored on cm, the TRUE preferences.
-    truthful_scores = partner_ranks(cm, truthful, proposing_side)
+    truthful, _ = tomhecs_category(cm, proposing_side)
     reports = []
-    for idx, (agent, row) in enumerate(zip(proposers, prefs)):
-        partner = truthful[proposing_side][idx]
+    for idx, (agent, row, own_ranks) in enumerate(
+        zip(proposers, prefs, cm.ranks[proposing_side])
+    ):
+        partner = partner_of(truthful, idx)
         truthful_partner = None if partner is None else counterparts[partner]
+        # Scored on the TRUE list; being unmatched scores the list length.
+        truthful_score = len(row) if partner is None else own_ranks[partner]
+        before, after = prefs[:idx], prefs[idx + 1 :]
         violations = []
         tried = 0
         for perm in permutations(range(len(counterparts))):
             if perm == row:
                 continue
             tried += 1
-            partners = outcome(
-                cm.with_prefs(proposing_side, prefs[:idx] + (perm,) + prefs[idx + 1 :])
-            )
-            if partner_ranks(cm, partners, proposing_side)[idx] < truthful_scores[idx]:
+            pairs, _ = tomhecs_category(cm, proposing_side, prefs=before + (perm,) + after)
+            new_partner = partner_of(pairs, idx)
+            if new_partner is not None and own_ranks[new_partner] < truthful_score:
                 misreport = tuple(counterparts[e] for e in perm)
-                new_partner = counterparts[partners[proposing_side][idx]]
-                violations.append((misreport, truthful_partner, new_partner))
+                violations.append((misreport, truthful_partner, counterparts[new_partner]))
         reports.append(TruthfulnessReport(agent, tried, violations))
     return reports

@@ -5,7 +5,7 @@ import stat
 import pytest
 
 from conftest import make_reference_market
-from medmatch import store_market
+from medmatch import generate_random_market, store_market
 from medmatch.cli import main
 
 
@@ -144,6 +144,24 @@ def test_check_malformed_market(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{}")
     assert main(["check", "stability", "--market", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "prop, n, list_length, message",
+    [
+        ("optimality", 9, None, "instance too large: max roster 9 > 8"),
+        ("truthfulness", 6, None, "instance too large: opposite roster 6 > 5"),
+        ("truthfulness", 4, 2, "misreport sweep requires full preference lists"),
+    ],
+    ids=["enumeration-size", "sweep-size", "sweep-partial"],
+)
+def test_refused_check_exits_3(tmp_path, capsys, prop, n, list_length, message):
+    path = tmp_path / "market.json"
+    path.write_bytes(store_market(generate_random_market(1, n, n, list_length, seed=0)))
+    assert main(["check", prop, "--market", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"refused: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_analytics_lemma4(capsys):

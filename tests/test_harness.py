@@ -1,9 +1,11 @@
 import json
 import os
 import stat
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medmatch.market
 import medmatch.mechanisms
@@ -55,6 +57,31 @@ def test_config_validation():
     # Every field has a JSON type, and the defaults as JSON pass it.
     defaults = json.loads(json.dumps(asdict(ExperimentConfig())))
     assert ExperimentConfig.from_dict(defaults) == ExperimentConfig()
+
+
+# Every value a config field accepts, each of the wrong JSON types, and
+# the values validate() refuses.
+CONFIG_VALUES = st.sampled_from(
+    (0, 1, 2, -1, True, False, None, 1.5, "", "x", "full", "partial", "patient",
+     "doctor", "requesting", "requested", "csv", "json", "tomhecs", "none", "large",
+     [], ["tomhecs"], ["ramhecs", "tomhecs"], ["patient", "doctor"], ["none", "small"],
+     ["huge"], ["tomhecs", 1], [None], {}, {"k": 1})
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.dictionaries(
+        st.sampled_from((*(f.name for f in fields(ExperimentConfig)), "bogus")),
+        CONFIG_VALUES,
+    )
+    | CONFIG_VALUES
+)
+def test_random_config_documents_raise_only_config_error(doc):
+    try:
+        ExperimentConfig.from_dict(doc).validate()
+    except ConfigError:
+        pass
 
 
 def test_single_rep_matches_direct_calls():

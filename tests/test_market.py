@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import random
 import weakref
@@ -26,13 +27,17 @@ from medmatch import (
 from medmatch.market import (
     DOCTOR,
     FULL,
+    MODES,
     PARTIAL,
     PATIENT,
+    AgentId,
     CategoryMarket,
+    _RankTables,
     _sampler,
     opposite,
 )
 from medmatch.oracle import check_truthfulness_exhaustive
+from test_oracle import reference_truthfulness_sweep
 
 
 def test_reference_market_is_valid(ref_market):
@@ -96,6 +101,141 @@ def test_short_list_rejected_in_full_mode(ref_market):
     assert validate_market(Market((broken,), FULL))
     # The same lists are fine when the market is declared partial.
     assert validate_market(Market((broken,), PARTIAL)) == []
+
+
+def reference_violations(market):
+    """validate_market as a per-entry loop over every roster and list, kept
+    as the reference for the whole-row checks: same messages, same order.
+    """
+    out = []
+    if market.mode not in MODES:
+        out.append(f"unknown mode {market.mode!r}")
+    for pos, cm in enumerate(market.categories):
+        if cm.category != pos:
+            out.append(
+                f"category index {cm.category} at position {pos}: "
+                "indices must be contiguous from 0"
+            )
+    for cm in market.categories:
+        for side in (PATIENT, DOCTOR):
+            for pos, agent in enumerate(cm.roster(side)):
+                where = f"category {cm.category} {side} roster position {pos}"
+                if not isinstance(agent, AgentId):
+                    out.append(f"{where}: {agent!r} is not an AgentId")
+                    continue
+                if agent.side != side:
+                    out.append(f"{where}: agent {agent!r} has wrong side")
+                if agent.category != cm.category:
+                    out.append(f"{where}: agent {agent!r} has wrong category")
+                if agent.ordinal != pos:
+                    out.append(f"{where}: agent {agent!r} ordinal does not match position")
+        for side in (PATIENT, DOCTOR):
+            roster, prefs = cm.roster(side), cm.prefs(side)
+            counterparts = cm.roster(opposite(side))
+            if len(prefs) != len(roster):
+                out.append(
+                    f"category {cm.category}: {len(roster)} {side}s but "
+                    f"{len(prefs)} preference lists"
+                )
+                continue
+            for agent, row in zip(roster, prefs):
+                if not isinstance(row, tuple):
+                    out.append(f"{agent!r}: preference list {row!r} is not a tuple")
+                    continue
+                seen = set()
+                for entry in row:
+                    if not isinstance(entry, int) or isinstance(entry, bool):
+                        out.append(f"{agent!r}: entry {entry!r} is not an int ordinal")
+                    elif not 0 <= entry < len(counterparts):
+                        out.append(f"{agent!r}: entry {entry!r} is not on the opposite roster")
+                    elif entry in seen:
+                        out.append(f"{agent!r}: duplicate entry {counterparts[entry]!r}")
+                    else:
+                        seen.add(entry)
+                if market.mode == FULL and len(seen) < len(counterparts):
+                    out.append(
+                        f"{agent!r}: list covers {len(seen)} of {len(counterparts)} "
+                        "counterparts in full-preference mode"
+                    )
+    return out
+
+
+def mutate_category(cm, rng):
+    """cm with one random defect, or none, in a roster or a preference list."""
+    side = rng.choice((PATIENT, DOCTOR))
+    roster, prefs = list(cm.roster(side)), list(cm.prefs(side))
+    width = len(cm.roster(opposite(side)))
+    kind = rng.choice(
+        ("none", "row type", "entry", "duplicate", "short", "roster entry", "agent field",
+         "category index", "nan index", "row count")
+    )
+    if kind == "category index":
+        return dataclasses.replace(cm, category=rng.choice((True, 1.0, -1, cm.category + 1)))
+    if kind == "nan index":
+        # NaN != NaN, yet a list holding the same NaN object equals itself.
+        nan = float("nan")
+
+        def relabel(roster):
+            return tuple(
+                dataclasses.replace(a, category=nan) if isinstance(a, AgentId) else a
+                for a in roster
+            )
+
+        return dataclasses.replace(
+            cm, category=nan, patients=relabel(cm.patients), doctors=relabel(cm.doctors)
+        )
+    if kind == "row count" and prefs:
+        prefs.pop()
+    elif kind in ("roster entry", "agent field") and roster:
+        pos = rng.randrange(len(roster))
+        if kind == "roster entry" or not isinstance(roster[pos], AgentId):
+            roster[pos] = rng.choice((f"x{pos}", None, pos, (side, pos)))
+        else:
+            field, value = rng.choice(
+                (("side", opposite(side)), ("category", cm.category + 1),
+                 ("category", True if cm.category == 1 else 1.0), ("ordinal", pos + 1),
+                 ("ordinal", -1), ("ordinal", float(pos)))
+            )
+            roster[pos] = dataclasses.replace(roster[pos], **{field: value})
+        field = "patients" if side == PATIENT else "doctors"
+        return dataclasses.replace(cm, **{field: tuple(roster)})
+    elif prefs and kind != "none":
+        agent = rng.randrange(len(prefs))
+        # A row an earlier edit made a non-tuple is edited as an empty one.
+        row = list(prefs[agent]) if isinstance(prefs[agent], tuple) else []
+        if kind == "row type":
+            prefs[agent] = rng.choice((row, None, "d1", range(len(row))))
+        else:
+            if kind == "entry" and row:
+                row[rng.randrange(len(row))] = rng.choice(
+                    (True, False, -1, -width, width, width + 3, 1.5, "d1", None)
+                )
+            elif kind == "duplicate" and len(row) > 1:
+                i, j = rng.sample(range(len(row)), 2)
+                row[i] = row[j]
+            elif kind == "short" and row:
+                row.pop(rng.randrange(len(row)))
+            prefs[agent] = tuple(row)
+    return dataclasses.replace(cm, **{f"{side}_prefs": tuple(prefs)})
+
+
+def test_validation_messages_match_the_per_entry_loop():
+    rng = random.Random("validation-fuzz")
+    invalid = 0
+    for seed in range(1500):
+        k, n, m = rng.randint(1, 3), rng.randint(0, 5), rng.randint(0, 5)
+        length = None if seed % 2 else rng.randint(0, min(n, m))
+        market = generate_random_market(k, n, m, list_length=length, seed=seed)
+        categories = list(market.categories)
+        for _ in range(rng.randint(1, 3)):
+            c = rng.randrange(k)
+            categories[c] = mutate_category(categories[c], rng)
+        mode = rng.choice((market.mode, market.mode, FULL, PARTIAL, "weird"))
+        broken = Market(tuple(categories), mode)
+        expected = reference_violations(broken)
+        assert validate_market(broken) == expected, seed
+        invalid += bool(expected)
+    assert invalid >= 1000, invalid
 
 
 def test_generator_is_deterministic():
@@ -217,30 +357,27 @@ def test_with_prefs_shares_the_unchanged_side(side):
 @pytest.mark.parametrize("proposing_side", [PATIENT, DOCTOR])
 def test_truthfulness_sweep_shares_the_true_receiver_tables(monkeypatch, proposing_side):
     cm = generate_random_market(1, 4, 4, seed=6).categories[0]
-    copies = []
-    with_prefs = CategoryMarket.with_prefs
+    fresh = generate_random_market(1, 4, 4, seed=6).categories[0]
+    built = []
+    build = _RankTables.__missing__
 
-    def spy(self, side, lists):
-        copies.append(with_prefs(self, side, lists))
-        return copies[-1]
+    def spy(tables, side):
+        built.append((tables, side))
+        return build(tables, side)
 
-    monkeypatch.setattr(CategoryMarket, "with_prefs", spy)
+    def refuse(self, side, lists):
+        raise AssertionError("the sweep made a with_prefs copy")
+
+    monkeypatch.setattr(_RankTables, "__missing__", spy)
+    monkeypatch.setattr(CategoryMarket, "with_prefs", refuse)
     reports = check_truthfulness_exhaustive(cm, proposing_side)
     monkeypatch.undo()
-    assert len(copies) == sum(r.misreports_tried for r in reports) == 4 * 23
-    receiving = opposite(proposing_side)
-    for copy in copies:
-        # Deferred acceptance on a misreport read only the receivers' true
-        # table; the misreported lists never got a table of their own.
-        assert list(copy.ranks) == [receiving]
-        assert copy.ranks[receiving] is cm.ranks[receiving]
-    # The same reports as a sweep whose misreports share no table.
-    monkeypatch.setattr(
-        CategoryMarket,
-        "with_prefs",
-        lambda self, side, lists: dataclasses.replace(self, **{f"{side}_prefs": lists}),
-    )
-    assert check_truthfulness_exhaustive(cm, proposing_side) == reports
+    assert sum(r.misreports_tried for r in reports) == 4 * 23
+    # Every misreport ran on the category itself: the only tables built are
+    # its own two, once each.
+    assert sorted(side for _, side in built) == [DOCTOR, PATIENT]
+    assert all(tables is cm.ranks for tables, _ in built)
+    assert reports == reference_truthfulness_sweep(fresh, proposing_side)
 
 
 def test_category_and_rank_tables_form_no_cycle():
@@ -292,6 +429,28 @@ def test_load_missing_pref_list_names_agent(ref_market):
     with pytest.raises(MarketFormatError) as err:
         load_market(json.dumps(doc))
     assert "d2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "ranking, named",
+    [
+        (["d1", "d9", 7], "'d9'"),
+        (["d1", 7, "d9"], "7"),
+        ([True], "True"),
+        ([None, "d1"], "None"),
+        (["d2", ["d1"]], "['d1']"),
+        ([{"id": "d1"}], "{'id': 'd1'}"),
+        (["p1"], "'p1'"),
+    ],
+    ids=repr,
+)
+def test_load_names_the_first_unknown_entry(ref_market, ranking, named):
+    doc = json.loads(store_market(ref_market))
+    doc["categories"][0]["patient_prefs"]["p2"] = ranking
+    with pytest.raises(MarketFormatError) as err:
+        load_market(json.dumps(doc))
+    assert err.value.path == "$.categories[0].patient_prefs.p2"
+    assert str(err.value) == f"{err.value.path}: unknown agent id {named}"
 
 
 def test_load_ignores_unknown_fields(ref_market):
@@ -387,6 +546,67 @@ def test_load_refuses_mutated_bytes_only_with_market_format_error(edits):
                 del data[i]
     try:
         load_market(bytes(data))
+    except MarketFormatError:
+        pass
+
+
+def tree_positions(tree, path=()):
+    """The path of every value in a parsed JSON tree, the root's included."""
+    yield path
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from tree_positions(value, path + (key,))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from tree_positions(value, path + (i,))
+
+
+# Wrong types (int, bool, null, array, object), unknown ids and ids of
+# either side, so that a list may name its own side's agents.
+TREE_VALUES = (0, 3, -1, True, False, None, 1.5, [], ["d1"], [["p1"]], {}, {"id": "p1"},
+               "p1", "d1", "d3", "nobody", "")
+# A stored partial market with unequal rosters and a full one with two categories.
+TREE_SEEDS = (
+    json.loads(FUZZ_SEED),
+    json.loads(store_market(generate_random_market(2, 3, 2, seed=4))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(range(len(TREE_SEEDS))),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("replace", "delete", "duplicate")),
+            st.integers(0, 1 << 16),
+            st.sampled_from(TREE_VALUES),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_load_refuses_mutated_trees_only_with_market_format_error(which, edits):
+    doc = json.loads(json.dumps(TREE_SEEDS[which]))
+    for kind, position, value in edits:
+        paths = list(tree_positions(doc))[1:]
+        if not paths:
+            break
+        *parent_path, key = paths[position % len(paths)]
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        if kind == "replace":
+            parent[key] = value
+        elif kind == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            # A repeated roster entry is a duplicate id; a repeated list
+            # entry, a duplicate preference.
+            parent.insert(key, parent[key])
+        else:
+            parent[f"{key}_copy"] = parent[key]
+    try:
+        load_market(json.dumps(doc))
     except MarketFormatError:
         pass
 

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -16,7 +18,8 @@ from medmatch import (
     tomhecs,
 )
 from medmatch import oracle
-from medmatch.market import DOCTOR, PARTIAL, PATIENT
+from medmatch.market import DOCTOR, PARTIAL, PATIENT, opposite
+from medmatch.mechanisms import tomhecs_category
 from medmatch.metrics import partner_ranks
 
 
@@ -98,6 +101,43 @@ def brute_force_stable_matchings(cm):
         pair_up(cm, {p: d for p, d in enumerate(assignment) if d != -1})
         for assignment in sorted(assignments)
     ]
+
+
+def reference_truthfulness_sweep(cm, proposing_side):
+    """The misreport sweep as it first ran, kept as the reference: each
+    misreport builds a with_prefs copy, runs tomhecs_category on it, takes
+    the matching's partner map and scores every proposer on the TRUE lists.
+    """
+    counterparts = cm.roster(opposite(proposing_side))
+    proposers = cm.roster(proposing_side)
+    prefs = cm.prefs(proposing_side)
+    rosters = (cm.patients, cm.doctors)
+
+    def outcome(category):
+        pairs, _ = tomhecs_category(category, proposing_side)
+        return Matching({cm.category: rosters}, {cm.category: pairs}).partners(cm)
+
+    truthful = outcome(cm)
+    truthful_scores = partner_ranks(cm, truthful, proposing_side)
+    reports = []
+    for idx, (agent, row) in enumerate(zip(proposers, prefs)):
+        partner = truthful[proposing_side][idx]
+        truthful_partner = None if partner is None else counterparts[partner]
+        violations = []
+        tried = 0
+        for perm in permutations(range(len(counterparts))):
+            if perm == row:
+                continue
+            tried += 1
+            partners = outcome(
+                cm.with_prefs(proposing_side, prefs[:idx] + (perm,) + prefs[idx + 1 :])
+            )
+            if partner_ranks(cm, partners, proposing_side)[idx] < truthful_scores[idx]:
+                misreport = tuple(counterparts[e] for e in perm)
+                new_partner = counterparts[partners[proposing_side][idx]]
+                violations.append((misreport, truthful_partner, new_partner))
+        reports.append(oracle.TruthfulnessReport(agent, tried, violations))
+    return reports
 
 
 def test_tomhecs_output_has_no_blocking_pairs(ref_market, ref_category):
@@ -308,3 +348,22 @@ def test_truthfulness_guards():
     partial = generate_random_market(1, 4, 4, list_length=2, seed=0)
     with pytest.raises(ValueError, match="full preference"):
         check_truthfulness_exhaustive(partial.categories[0], PATIENT)
+
+
+def test_truthfulness_sweep_matches_the_reference_sweep():
+    # Full markets with 1 to 6 proposers and at most 5 counterparts, both
+    # proposing sides, rosters mostly unequal.
+    rng = random.Random("truthfulness-differential")
+    unequal = 0
+    for seed in range(220):
+        side = (PATIENT, DOCTOR)[seed % 2]
+        proposers, counterparts = rng.randint(1, 6), rng.randint(0, 5)
+        unequal += proposers != counterparts
+        n, m = (proposers, counterparts) if side == PATIENT else (counterparts, proposers)
+        cm = generate_random_market(1, n, m, seed=f"sweep:{seed}").categories[0]
+        reports = check_truthfulness_exhaustive(cm, side)
+        assert reports == reference_truthfulness_sweep(cm, side), (seed, side, n, m)
+        assert [r.misreports_tried for r in reports] == [
+            math.factorial(counterparts) - 1 if counterparts else 0
+        ] * proposers
+    assert unequal >= 150, unequal
