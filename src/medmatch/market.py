@@ -499,7 +499,28 @@ def load_market(data: bytes | str) -> Market:
             CategoryMarket(index, patients, doctors, patient_prefs, doctor_prefs)
         )
     market = Market(tuple(categories), mode)
-    violations = validate_market(market)
-    if violations:
-        raise MarketFormatError("; ".join(violations), "$")
+    if not _resolved_market_holds(market):
+        raise MarketFormatError("; ".join(validate_market(market)), "$")
     return market
+
+
+def _resolved_market_holds(market: Market) -> bool:
+    """Whether a market load_market has resolved passes validate_market.
+
+    Resolving ids proves the rest: each roster is AgentIds of its side and
+    category in ordinal order, and each side has one tuple of in-range int
+    ordinals per agent. Left to check are the category indices, duplicate
+    entries and, in full mode, the list lengths. When one fails,
+    validate_market words the violations.
+    """
+    for pos, cm in enumerate(market.categories):
+        if cm.category != pos:
+            return False
+        for side in SIDES:
+            prefs = cm.prefs(side)
+            lengths = list(map(len, prefs))
+            if list(map(len, map(set, prefs))) != lengths:
+                return False
+            if market.mode == FULL and set(lengths) - {len(cm.roster(opposite(side)))}:
+                return False
+    return True

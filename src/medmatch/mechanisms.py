@@ -168,6 +168,10 @@ def tomhecs_category(
     prefs, when given, are the proposers' lists to run on in place of cm's
     (one valid list per proposer); the receivers still rank by cm's own
     table. The misreport sweep runs each misreport this way.
+
+    Read contract: proposer p's list is read only as prefs[p][next_choice[p]]
+    and len(prefs[p]), in order, and never past the entry p ends matched to.
+    The misreport sweep relies on it.
     """
     trace = CategoryTrace(cm.category)
     proposers = cm.roster(proposing_side)

@@ -4,8 +4,9 @@ The blocking-pair scan is quadratic. Stable matchings are enumerated by
 rotation elimination over the stable-matching lattice, in time polynomial
 per matching found; it is still guarded to rosters of at most
 ENUMERATION_LIMIT agents. The misreport sweep tries every permutation of a
-list, factorial-time by design, and is guarded to MISREPORT_LIMIT. A guard
-that declines an instance raises CheckRefused.
+list, factorial-time by design, and is guarded to MISREPORT_LIMIT; it runs
+the mechanism once per read prefix, not once per permutation. A guard that
+declines an instance raises CheckRefused.
 """
 
 from __future__ import annotations
@@ -199,9 +200,18 @@ def check_truthfulness_exhaustive(
     """Sweep every single-proposer misreport (all permutations of the opposite
     roster) and record any strict improvement under the TRUE preferences.
 
-    Each misreport runs tomhecs_category on the proposers' lists with one
+    A misreport runs tomhecs_category on the proposers' lists with one
     list swapped, against cm's true receiver table; only the misreporting
     proposer's partner is read from the result.
+
+    Deferred acceptance reads a proposer's list strictly in order and never
+    past its final partner, the last entry it proposed to (McVitie & Wilson
+    1971). So the run on a misreport decides the outcome of every misreport
+    that starts with its read prefix: the list up to and including that
+    partner, or the whole list when the proposer ends unmatched. The
+    permutations come in lexicographic order and each one that does not
+    start with the last run's read prefix runs the mechanism; the others
+    take the last run's partner.
     """
     counterparts = cm.roster(opposite(proposing_side))
     proposers = cm.roster(proposing_side)
@@ -234,12 +244,15 @@ def check_truthfulness_exhaustive(
         before, after = prefs[:idx], prefs[idx + 1 :]
         violations = []
         tried = 0
+        read = None  # the read prefix of the last run on this proposer's list
         for perm in permutations(range(len(counterparts))):
             if perm == row:
                 continue
             tried += 1
-            pairs, _ = tomhecs_category(cm, proposing_side, prefs=before + (perm,) + after)
-            new_partner = partner_of(pairs, idx)
+            if read is None or perm[: len(read)] != read:
+                pairs, _ = tomhecs_category(cm, proposing_side, prefs=before + (perm,) + after)
+                new_partner = partner_of(pairs, idx)
+                read = perm if new_partner is None else perm[: perm.index(new_partner) + 1]
             if new_partner is not None and own_ranks[new_partner] < truthful_score:
                 misreport = tuple(counterparts[e] for e in perm)
                 violations.append((misreport, truthful_partner, counterparts[new_partner]))

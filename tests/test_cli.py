@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_reference_market
 from medmatch import generate_random_market, store_market
+from medmatch import cli
 from medmatch.cli import main
 
 
@@ -138,6 +139,20 @@ def test_check_truthfulness(market_file, capsys):
     assert main(["check", "truthfulness", "--market", market_file]) == 0
     out = capsys.readouterr().out
     assert "92 misreports tried" in out  # 4 proposers x 23 permutations
+
+
+@pytest.mark.parametrize("side", ["patient", "doctor"])
+def test_check_truthfulness_runs_no_matching(market_file, capsys, monkeypatch, side):
+    argv = ["check", "truthfulness", "--market", market_file, "--side", side]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the truthfulness check ran a matching it never reads")
+
+    monkeypatch.setattr(cli, "run_categories", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_check_malformed_market(tmp_path):

@@ -24,6 +24,7 @@ from medmatch import (
     tomhecs,
     validate_market,
 )
+from medmatch import market as market_module
 from medmatch.market import (
     DOCTOR,
     FULL,
@@ -609,6 +610,73 @@ def test_load_refuses_mutated_trees_only_with_market_format_error(which, edits):
         load_market(json.dumps(doc))
     except MarketFormatError:
         pass
+
+
+def resolve_then_validate(text, monkeypatch):
+    """The reference for load_market: resolve the ids, then run the full
+    validate_market on every market."""
+    monkeypatch.setattr(market_module, "_resolved_market_holds", lambda market: True)
+    try:
+        loaded = load_market(text)
+    finally:
+        monkeypatch.undo()
+    violations = validate_market(loaded)
+    if violations:
+        raise MarketFormatError("; ".join(violations), "$")
+    return loaded
+
+
+def load_outcome(load, *args):
+    """The loaded market, or the message it was refused with."""
+    try:
+        return load(*args)
+    except MarketFormatError as exc:
+        return str(exc)
+
+
+def mutate_resolvable(doc, rng):
+    """One edit of a stored market that keeps every id resolvable: a
+    repeated or dropped list entry, a changed or reordered category index,
+    or the other mode."""
+    kind = rng.choice(("repeat", "overwrite", "drop", "index", "reorder", "mode"))
+    categories = doc["categories"]
+    if kind == "mode":
+        doc["mode"] = PARTIAL if doc["mode"] == FULL else FULL
+    elif kind == "reorder":
+        rng.shuffle(categories)
+    elif kind == "index":
+        rng.choice(categories)["index"] = rng.choice((-1, 0, 1, 2))
+    else:
+        lists = rng.choice(categories)[rng.choice(("patient_prefs", "doctor_prefs"))]
+        row = lists[rng.choice(list(lists))]
+        if not row:
+            return
+        i = rng.randrange(len(row))
+        if kind == "repeat":
+            row.insert(rng.randrange(len(row) + 1), row[i])
+        elif kind == "overwrite":
+            row[rng.randrange(len(row))] = row[i]
+        else:
+            del row[i]
+
+
+def test_load_checks_what_resolving_leaves_as_validate_market_does(monkeypatch):
+    rng = random.Random("resolved-checks")
+    seeds = TREE_SEEDS + (json.loads(store_market(generate_random_market(3, 4, 3, seed=9))),)
+    outcomes = []
+    for trial in range(600):
+        doc = json.loads(json.dumps(seeds[trial % len(seeds)]))
+        for _ in range(rng.randint(1, 3)):
+            mutate_resolvable(doc, rng)
+        text = json.dumps(doc)
+        outcome = load_outcome(load_market, text)
+        assert outcome == load_outcome(resolve_then_validate, text, monkeypatch), (trial, doc)
+        outcomes.append(outcome)
+    messages = [o for o in outcomes if isinstance(o, str)]
+    assert len(messages) >= 200 and len(outcomes) - len(messages) >= 100
+    for violation in ("duplicate entry", "counterparts in full-preference mode",
+                      "indices must be contiguous"):
+        assert sum(violation in m for m in messages) >= 50, violation
 
 
 def uses_pool_branch(n, k):

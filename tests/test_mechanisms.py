@@ -362,3 +362,53 @@ def test_randrange_and_choice_draw_alike():
         for _ in range(20):
             assert a.randrange(c) == b.choice(range(c))
         assert a.getstate() == b.getstate()
+
+
+class ReadPrefix(tuple):
+    """A proposer's list that may be read only by index, and only within
+    its first `readable` entries; len() stays the whole list's."""
+
+    def __new__(cls, row, readable):
+        guarded = super().__new__(cls, row)
+        guarded.readable = readable
+        return guarded
+
+    def __getitem__(self, index):
+        if not isinstance(index, int) or not 0 <= index < self.readable:
+            raise AssertionError(f"read entry {index!r} past a read prefix of {self.readable}")
+        return super().__getitem__(index)
+
+    def _read_whole(self, *args):
+        raise AssertionError("read a proposer's list whole")
+
+    __iter__ = __contains__ = index = count = _read_whole
+
+
+def test_tomhecs_reads_no_list_past_the_final_partner():
+    # The read contract the misreport sweep relies on: a proposer's list is
+    # read in order and never past the entry it ends matched to, or past its
+    # end when it ends unmatched. Fenced there, every run replays exactly.
+    rng = random.Random("read-contract")
+    shapes = {"full": 0, "partial": 0, "unequal": 0}
+    for seed in range(240):
+        n, m = rng.randint(1, 12), rng.randint(1, 12)
+        full = seed % 3 == 0
+        if full:
+            market = generate_random_market(1, n, m, seed=seed)
+        else:
+            market = market_from_rankings(
+                random_lists(rng, n, m, False), random_lists(rng, m, n, False), PARTIAL
+            )
+        shapes["full" if full else "partial"] += 1
+        shapes["unequal"] += n != m
+        cm = market.categories[0]
+        for side in (PATIENT, DOCTOR):
+            expected = tomhecs_category(cm, side)
+            mine = 0 if side == PATIENT else 1
+            partner = {pair[mine]: pair[1 - mine] for pair in expected[0]}
+            prefs = cm.prefs(side)
+            for p, row in enumerate(prefs):
+                readable = row.index(partner[p]) + 1 if p in partner else len(row)
+                guarded = prefs[:p] + (ReadPrefix(row, readable),) + prefs[p + 1 :]
+                assert tomhecs_category(cm, side, prefs=guarded) == expected, (seed, side, p)
+    assert shapes["full"] >= 60 and shapes["partial"] >= 150 and shapes["unequal"] >= 150, shapes

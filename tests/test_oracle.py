@@ -19,7 +19,7 @@ from medmatch import (
 )
 from medmatch import oracle
 from medmatch.market import DOCTOR, PARTIAL, PATIENT, opposite
-from medmatch.mechanisms import tomhecs_category
+from medmatch.mechanisms import CategoryTrace, tomhecs_category
 from medmatch.metrics import partner_ranks
 
 
@@ -103,10 +103,10 @@ def brute_force_stable_matchings(cm):
     ]
 
 
-def reference_truthfulness_sweep(cm, proposing_side):
+def reference_truthfulness_sweep(cm, proposing_side, mechanism=tomhecs_category):
     """The misreport sweep as it first ran, kept as the reference: each
-    misreport builds a with_prefs copy, runs tomhecs_category on it, takes
-    the matching's partner map and scores every proposer on the TRUE lists.
+    misreport builds a with_prefs copy, runs the mechanism on it, takes the
+    matching's partner map and scores every proposer on the TRUE lists.
     """
     counterparts = cm.roster(opposite(proposing_side))
     proposers = cm.roster(proposing_side)
@@ -114,7 +114,7 @@ def reference_truthfulness_sweep(cm, proposing_side):
     rosters = (cm.patients, cm.doctors)
 
     def outcome(category):
-        pairs, _ = tomhecs_category(category, proposing_side)
+        pairs, _ = mechanism(category, proposing_side)
         return Matching({cm.category: rosters}, {cm.category: pairs}).partners(cm)
 
     truthful = outcome(cm)
@@ -255,6 +255,40 @@ def test_stable_lattice_facts():
     assert several >= 5, several
 
 
+def test_lattice_facts_at_scale():
+    # The extreme matchings of n x n markets far past the enumeration guard,
+    # with full lists and with short ones.
+    for n, length in ((64, 8), (256, 32), (1024, 64)):
+        for list_length in (None, length):
+            cm = generate_random_market(1, n, n, list_length=list_length, seed=n).categories[0]
+            extremes = {}
+            for side in (PATIENT, DOCTOR):
+                pairs, _ = tomhecs_category(cm, side)
+                held = oracle._gale_shapley(cm, side)
+                assert pairs == {
+                    (p, r) if side == PATIENT else (r, p)
+                    for r, p in enumerate(held)
+                    if p is not None
+                }, (n, list_length, side)
+                extremes[side] = pair_up(cm, dict(pairs)).partners(cm)
+            patient_optimal, doctor_optimal = extremes[PATIENT], extremes[DOCTOR]
+            for side in (PATIENT, DOCTOR):
+                # Rural hospitals: both extremes match the same agents.
+                assert [q is None for q in patient_optimal[side]] == [
+                    q is None for q in doctor_optimal[side]
+                ], (n, list_length, side)
+                # Each side weakly prefers the matching its own side proposed.
+                best, worst = (
+                    (patient_optimal, doctor_optimal)
+                    if side == PATIENT
+                    else (doctor_optimal, patient_optimal)
+                )
+                assert all(
+                    a <= b
+                    for a, b in zip(partner_ranks(cm, best, side), partner_ranks(cm, worst, side))
+                ), (n, list_length, side)
+
+
 def test_enumeration_does_not_use_the_mechanism(monkeypatch, ref_market, ref_category):
     patient_opt, _ = tomhecs(ref_market, PATIENT)
     doctor_opt, _ = tomhecs(ref_market, DOCTOR)
@@ -367,3 +401,55 @@ def test_truthfulness_sweep_matches_the_reference_sweep():
             math.factorial(counterparts) - 1 if counterparts else 0
         ] * proposers
     assert unequal >= 150, unequal
+
+
+def immediate_acceptance(cm, proposing_side=PATIENT, events=None, *, prefs=None):
+    """The Boston mechanism, a manipulable control for the misreport sweep.
+
+    Each round every unmatched proposer proposes to the next entry on its
+    list, and each receiver not yet matched accepts, for good, the best of
+    that round's proposers it lists. Lists are read as tomhecs_category
+    reads them: by index, in order, up to the final partner.
+    """
+    trace = CategoryTrace(cm.category)
+    if prefs is None:
+        prefs = cm.prefs(proposing_side)
+    ranks = cm.ranks[opposite(proposing_side)]
+    next_choice = [0] * len(prefs)
+    held = {}  # receiver -> the proposer it accepted
+    free = [p for p in range(len(prefs)) if len(prefs[p])]
+    while free:
+        trace.outer_iterations += 1
+        offers = {}
+        for p in free:
+            r = prefs[p][next_choice[p]]
+            next_choice[p] += 1
+            trace.proposals += 1
+            if r not in held and ranks[r][p] is not None:
+                offers.setdefault(r, []).append(p)
+        for r, proposers in offers.items():
+            held[r] = min(proposers, key=ranks[r].__getitem__)
+        accepted = set(held.values())
+        free = [p for p in free if p not in accepted and next_choice[p] < len(prefs[p])]
+    if proposing_side == PATIENT:
+        return frozenset((p, r) for r, p in held.items()), trace
+    return frozenset(held.items()), trace
+
+
+def test_truthfulness_sweep_finds_immediate_acceptance_manipulable(monkeypatch):
+    # Power control: run on a mechanism that is not strategy-proof, the
+    # sweep reports what the per-permutation reference reports, and that is
+    # often a violation.
+    monkeypatch.setattr(oracle, "tomhecs_category", immediate_acceptance)
+    rng = random.Random("immediate-acceptance")
+    manipulable = 0
+    for seed in range(150):
+        side = (PATIENT, DOCTOR)[seed % 2]
+        n, m = rng.randint(2, 5), rng.randint(2, 5)
+        cm = generate_random_market(1, n, m, seed=f"boston:{seed}").categories[0]
+        reports = check_truthfulness_exhaustive(cm, side)
+        assert reports == reference_truthfulness_sweep(cm, side, immediate_acceptance), (
+            seed, side, n, m
+        )
+        manipulable += any(report.violations for report in reports)
+    assert manipulable >= 50, manipulable
