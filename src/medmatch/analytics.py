@@ -24,7 +24,6 @@ PRESET_PROBABILITIES = {
     "medium": 1 / 4,
     "large": 1 / 2,
 }
-PRESETS = tuple(PRESET_PROBABILITIES)
 
 
 @dataclass(frozen=True)

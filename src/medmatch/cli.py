@@ -6,8 +6,9 @@ Subcommands:
   match analytics lemma4|lemma5|lemma6 --n N --trials T [--seed S] [--p P]
 
 Exit codes: 0 success, 1 validation/check failure, 2 I/O error, 3 check
-refused (an instance outside the oracle's guards: rosters too large, or
-partial lists for the misreport sweep).
+refused (an instance outside the misreport sweep's guards: rosters too
+large, or partial lists). Stability and optimality are checked at any
+roster size.
 """
 
 from __future__ import annotations

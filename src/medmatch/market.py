@@ -465,6 +465,10 @@ def _load_prefs(
             # TypeError): name the first that is not.
             bad = next(e for e in ranking if not isinstance(e, str) or e not in targets)
             raise MarketFormatError(f"unknown agent id {bad!r}", ppath) from None
+    # Every owner has a list, so any further key names no agent.
+    if len(table) > len(owners):
+        stray = next(ident for ident in table if ident not in owners)
+        raise MarketFormatError(f"unknown agent id {stray!r}", f"{path}.{key}.{stray}")
     return tuple(prefs)
 
 

@@ -77,7 +77,8 @@ class Matching:
     def partners(self, cm: CategoryMarket) -> dict[str, list[int | None]]:
         """Each agent's partner ordinal in category cm, per side; None when
         unmatched. Raises ValueError when the matching was computed on other
-        rosters or names an ordinal off cm's rosters.
+        rosters, names an ordinal off cm's rosters or names one ordinal in
+        two pairs.
         """
         n, m = len(cm.patients), len(cm.doctors)
         # Tuple comparison tries identity first: O(1) for the rosters that
@@ -88,13 +89,19 @@ class Matching:
             )
         patient_partner: list[int | None] = [None] * n
         doctor_partner: list[int | None] = [None] * m
-        for i, j in self.by_category[cm.category]:
+        pairs = self.by_category[cm.category]
+        for i, j in pairs:
             if not (0 <= i < n and 0 <= j < m):
                 raise ValueError(
                     f"matching references unknown agents (patient {i}, doctor {j})"
                 )
             patient_partner[i] = j
             doctor_partner[j] = i
+        # Each pair fills one slot per side unless an ordinal repeats.
+        if not len(pairs) == n - patient_partner.count(None) == m - doctor_partner.count(None):
+            raise ValueError(
+                f"not a matching: an agent is in two pairs of category {cm.category}"
+            )
         return {PATIENT: patient_partner, DOCTOR: doctor_partner}
 
 

@@ -1,11 +1,12 @@
 """Executable stability/optimality/truthfulness checks and their oracles.
 
-The blocking-pair scan is quadratic. Stable matchings are enumerated by
-rotation elimination over the stable-matching lattice, in time polynomial
-per matching found; it is still guarded to rosters of at most
-ENUMERATION_LIMIT agents. The misreport sweep tries every permutation of a
-list, factorial-time by design, and is guarded to MISREPORT_LIMIT; it runs
-the mechanism once per read prefix, not once per permutation. A guard that
+The blocking-pair scan is quadratic. Optimality is one comparison with the
+proposer-optimal matching, at any roster size. Stable matchings are
+enumerated by rotation elimination over the lattice, in time polynomial per
+matching found, for rosters of at most ENUMERATION_LIMIT agents; no `match
+check` runs it. The misreport sweep tries every permutation of a list,
+factorial-time by design, and is guarded to MISREPORT_LIMIT; it runs the
+mechanism once per read prefix, not once per permutation. A guard that
 declines an instance raises CheckRefused.
 """
 
@@ -75,17 +76,19 @@ def is_stable(cm: CategoryMarket, matching: Matching) -> bool:
     return not find_blocking_pairs(cm, matching)
 
 
-def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> list[int | None]:
+def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> dict[str, list[int | None]]:
     """Proposer-optimal stable matching by sequential deferred acceptance:
-    one free proposer at a time proposes down its list. Returns, per
-    receiver, the ordinal of the proposer it holds (None when it holds none).
+    one free proposer at a time proposes down its list. Returns each agent's
+    partner ordinal per side, None when unmatched, as Matching.partners does.
 
-    Kept apart from tomhecs_category so that the lattice the oracle walks
-    never comes from the mechanism it checks.
+    Kept apart from tomhecs_category, so that the optimality verdict and the
+    lattice the oracle walks never come from the mechanism it checks.
     """
+    receiving = opposite(proposing_side)
     prefs = cm.prefs(proposing_side)
-    ranks = cm.ranks[opposite(proposing_side)]
-    holder: list[int | None] = [None] * len(cm.roster(opposite(proposing_side)))
+    ranks = cm.ranks[receiving]
+    holder: list[int | None] = [None] * len(cm.roster(receiving))
+    partner: list[int | None] = [None] * len(prefs)
     next_choice = [0] * len(prefs)
     free = list(range(len(prefs)))
     while free:
@@ -100,10 +103,12 @@ def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> list[int | None]:
             held = holder[r]
             if held is None or rank < ranks[r][held]:
                 holder[r] = p
+                partner[p] = r
                 if held is not None:
+                    partner[held] = None
                     free.append(held)
                 break
-    return holder
+    return {proposing_side: partner, receiving: holder}
 
 
 def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
@@ -125,12 +130,10 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
     patient_prefs = cm.patient_prefs
     patient_ranks = cm.ranks[PATIENT]
     doctor_ranks = cm.ranks[DOCTOR]
-    # The doctor-proposing run holds, per patient, its doctor-optimal partner.
-    bottom = [-1 if d is None else d for d in _gale_shapley(cm, DOCTOR)]
-    top = [-1] * n
-    for d, p in enumerate(_gale_shapley(cm, PATIENT)):
-        if p is not None:
-            top[p] = d
+    top, bottom = (
+        [-1 if d is None else d for d in _gale_shapley(cm, side)[PATIENT]]
+        for side in (PATIENT, DOCTOR)
+    )
     seen = {tuple(top)}
     stack = [tuple(top)]
     while stack:
@@ -171,10 +174,9 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
             if reached not in seen:
                 seen.add(reached)
                 stack.append(reached)
-    rosters = (cm.patients, cm.doctors)
     return [
         Matching(
-            {cm.category: rosters},
+            {cm.category: (cm.patients, cm.doctors)},
             {cm.category: frozenset((p, d) for p, d in enumerate(a) if d != -1)},
         )
         for a in sorted(seen)
@@ -184,14 +186,12 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
 def check_requesting_party_optimal(
     cm: CategoryMarket, matching: Matching, proposing_side: str
 ) -> bool:
-    """True iff every proposer weakly prefers this matching to every stable one."""
-    stable = enumerate_stable_matchings(cm)
+    """True iff every proposer weakly prefers this matching to every stable
+    one: to the proposer-optimal one, which gives every proposer its best
+    stable partner (Gale & Shapley 1962)."""
+    best = partner_ranks(cm, _gale_shapley(cm, proposing_side), proposing_side)
     ours = partner_ranks(cm, matching.partners(cm), proposing_side)
-    return all(
-        mine <= theirs
-        for other in stable
-        for mine, theirs in zip(ours, partner_ranks(cm, other.partners(cm), proposing_side))
-    )
+    return all(mine <= theirs for mine, theirs in zip(ours, best))
 
 
 def check_truthfulness_exhaustive(

@@ -164,11 +164,10 @@ def test_check_malformed_market(tmp_path):
 @pytest.mark.parametrize(
     "prop, n, list_length, message",
     [
-        ("optimality", 9, None, "instance too large: max roster 9 > 8"),
         ("truthfulness", 6, None, "instance too large: opposite roster 6 > 5"),
         ("truthfulness", 4, 2, "misreport sweep requires full preference lists"),
     ],
-    ids=["enumeration-size", "sweep-size", "sweep-partial"],
+    ids=["sweep-size", "sweep-partial"],
 )
 def test_refused_check_exits_3(tmp_path, capsys, prop, n, list_length, message):
     path = tmp_path / "market.json"
@@ -177,6 +176,14 @@ def test_refused_check_exits_3(tmp_path, capsys, prop, n, list_length, message):
     err = capsys.readouterr().err
     assert f"refused: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, list_length", [(9, None), (256, 32)], ids=["full-9", "partial-256"])
+def test_check_optimality_past_the_enumeration_guard(tmp_path, capsys, n, list_length):
+    path = tmp_path / "market.json"
+    path.write_bytes(store_market(generate_random_market(1, n, n, list_length, seed=0)))
+    assert main(["check", "optimality", "--market", str(path)]) == 0
+    assert capsys.readouterr().out == "category 0: optimal\n"
 
 
 def test_analytics_lemma4(capsys):

@@ -463,6 +463,20 @@ def test_load_ignores_unknown_fields(ref_market):
     assert load_market(json.dumps(doc)) == ref_market
 
 
+@pytest.mark.parametrize(
+    "key, ident, ranking",
+    [("patient_prefs", "p9", ["d1"]), ("patient_prefs", "p1 ", 5), ("doctor_prefs", "d9", [])],
+    ids=["unknown-patient", "stray-space", "unknown-doctor"],
+)
+def test_load_rejects_a_list_for_an_agent_off_the_roster(ref_market, key, ident, ranking):
+    doc = json.loads(store_market(ref_market))
+    doc["categories"][0][key][ident] = ranking
+    with pytest.raises(MarketFormatError) as excinfo:
+        load_market(json.dumps(doc))
+    assert excinfo.value.path == f"$.categories[0].{key}.{ident}"
+    assert str(excinfo.value) == f"{excinfo.value.path}: unknown agent id {ident!r}"
+
+
 def test_load_rejects_malformed_document():
     with pytest.raises(MarketFormatError):
         load_market(b"not json at all")

@@ -1,4 +1,6 @@
+import math
 import random
+import statistics
 
 import pytest
 
@@ -412,3 +414,20 @@ def test_tomhecs_reads_no_list_past_the_final_partner():
                 guarded = prefs[:p] + (ReadPrefix(row, readable),) + prefs[p + 1 :]
                 assert tomhecs_category(cm, side, prefs=guarded) == expected, (seed, side, p)
     assert shapes["full"] >= 60 and shapes["partial"] >= 150 and shapes["unequal"] >= 150, shapes
+
+
+def test_proposal_counts_on_full_markets():
+    # Every proposal ends held or rejected, and the mean count stays within
+    # the coupon-collector bound n * H_n for full n x n markets (Wilson 1972;
+    # Knuth 1976), allowing three standard errors.
+    n = 64
+    counts = []
+    for seed in range(300):
+        cm = generate_random_market(1, n, n, seed=f"proposals:{seed}").categories[0]
+        pairs, trace = tomhecs_category(cm, (PATIENT, DOCTOR)[seed % 2])
+        assert trace.rejections == trace.proposals - len(pairs), seed
+        counts.append(trace.proposals)
+    mean = statistics.fmean(counts)
+    std_error = statistics.stdev(counts) / math.sqrt(len(counts))
+    bound = n * sum(1 / k for k in range(1, n + 1))
+    assert mean <= bound + 3 * std_error, (mean, bound, std_error)

@@ -4,6 +4,7 @@ from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS
 from medmatch import (
     Matching,
     PerturbationSpec,
+    check_requesting_party_optimal,
     find_blocking_pairs,
     generate_random_market,
     market_from_rankings,
@@ -159,6 +160,21 @@ def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
     with pytest.raises(ValueError, match="unknown agents"):
         satisfaction_level(ref_market, matching, PATIENT)
     with pytest.raises(ValueError, match="unknown agents"):
+        find_blocking_pairs(cm, matching)
+
+
+@pytest.mark.parametrize("case", ["patient_twice", "doctor_twice"])
+def test_hand_built_pairs_that_are_not_a_matching_are_refused(ref_market, case):
+    cm = ref_market.categories[0]
+    # One agent paired with three of the other side's.
+    pairs = {(1, 0), (1, 1), (1, 2)} if case == "patient_twice" else {(0, 1), (1, 1), (2, 1)}
+    matching = Matching({0: (cm.patients, cm.doctors)}, {0: frozenset(pairs)})
+    for side in (PATIENT, DOCTOR):
+        with pytest.raises(ValueError, match="two pairs"):
+            satisfaction_level(ref_market, matching, side)
+        with pytest.raises(ValueError, match="two pairs"):
+            check_requesting_party_optimal(cm, matching, side)
+    with pytest.raises(ValueError, match="two pairs"):
         find_blocking_pairs(cm, matching)
 
 

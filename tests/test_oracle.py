@@ -199,22 +199,28 @@ def test_enumeration_guard():
         enumerate_stable_matchings(market.categories[0])
 
 
+def small_market(rng, lists, seed):
+    """A one-category market with rosters of 0 to 7 and full lists,
+    generator-partial lists or random-length ones."""
+    n, m = rng.randint(0, 7), rng.randint(0, 7)
+    if lists == "random_length":
+        # Every agent lists a random-length, randomly ordered subset.
+        return market_from_rankings(
+            [rng.sample(range(m), rng.randint(0, m)) for _ in range(n)],
+            [rng.sample(range(n), rng.randint(0, n)) for _ in range(m)],
+            PARTIAL,
+        )
+    length = rng.randint(0, min(n, m)) if lists == "generator_partial" else None
+    return generate_random_market(1, n, m, list_length=length, seed=seed)
+
+
 @pytest.mark.parametrize("lists", ["full", "generator_partial", "random_length"])
 def test_enumeration_matches_brute_force(lists):
     rng = random.Random(f"enumeration:{lists}")
     for seed in range(150):
-        n, m = rng.randint(0, 7), rng.randint(0, 7)
-        if lists == "random_length":
-            # Every agent lists a random-length, randomly ordered subset.
-            market = market_from_rankings(
-                [rng.sample(range(m), rng.randint(0, m)) for _ in range(n)],
-                [rng.sample(range(n), rng.randint(0, n)) for _ in range(m)],
-                PARTIAL,
-            )
-        else:
-            length = rng.randint(0, min(n, m)) if lists == "generator_partial" else None
-            market = generate_random_market(1, n, m, list_length=length, seed=seed)
+        market = small_market(rng, lists, seed)
         cm = market.categories[0]
+        n, m = len(cm.patients), len(cm.doctors)
         assert enumerate_stable_matchings(cm) == brute_force_stable_matchings(cm), (n, m, seed)
 
 
@@ -258,19 +264,16 @@ def test_stable_lattice_facts():
 def test_lattice_facts_at_scale():
     # The extreme matchings of n x n markets far past the enumeration guard,
     # with full lists and with short ones.
+    differ = 0
     for n, length in ((64, 8), (256, 32), (1024, 64)):
         for list_length in (None, length):
             cm = generate_random_market(1, n, n, list_length=list_length, seed=n).categories[0]
-            extremes = {}
+            matchings, extremes = {}, {}
             for side in (PATIENT, DOCTOR):
                 pairs, _ = tomhecs_category(cm, side)
-                held = oracle._gale_shapley(cm, side)
-                assert pairs == {
-                    (p, r) if side == PATIENT else (r, p)
-                    for r, p in enumerate(held)
-                    if p is not None
-                }, (n, list_length, side)
-                extremes[side] = pair_up(cm, dict(pairs)).partners(cm)
+                matchings[side] = pair_up(cm, dict(pairs))
+                extremes[side] = matchings[side].partners(cm)
+                assert extremes[side] == oracle._gale_shapley(cm, side), (n, list_length, side)
             patient_optimal, doctor_optimal = extremes[PATIENT], extremes[DOCTOR]
             for side in (PATIENT, DOCTOR):
                 # Rural hospitals: both extremes match the same agents.
@@ -287,20 +290,79 @@ def test_lattice_facts_at_scale():
                     a <= b
                     for a, b in zip(partner_ranks(cm, best, side), partner_ranks(cm, worst, side))
                 ), (n, list_length, side)
+            if n == 1024:
+                differ += patient_optimal != doctor_optimal
+                for side in (PATIENT, DOCTOR):
+                    other = matchings[opposite(side)]
+                    assert check_requesting_party_optimal(cm, matchings[side], side)
+                    assert check_requesting_party_optimal(cm, other, side) == (
+                        patient_optimal == doctor_optimal
+                    ), (list_length, side)
+    # The "not optimal" verdicts above are not vacuous.
+    assert differ, differ
 
 
 def test_enumeration_does_not_use_the_mechanism(monkeypatch, ref_market, ref_category):
-    patient_opt, _ = tomhecs(ref_market, PATIENT)
-    doctor_opt, _ = tomhecs(ref_market, DOCTOR)
+    big = generate_random_market(1, 64, 64, seed=64)
+    outcomes = {
+        (market, side): tomhecs(market, side)[0]
+        for market in (ref_market, big)
+        for side in (PATIENT, DOCTOR)
+    }
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle called the mechanism it checks")
+        raise AssertionError("the oracle called the mechanism it checks, or enumerated")
 
     monkeypatch.setattr(oracle, "tomhecs_category", refuse)
     assert len(enumerate_stable_matchings(ref_category)) == 2
-    assert check_requesting_party_optimal(ref_category, patient_opt, PATIENT)
-    assert check_requesting_party_optimal(ref_category, doctor_opt, DOCTOR)
-    assert not check_requesting_party_optimal(ref_category, doctor_opt, PATIENT)
+    # The optimality check does not enumerate either.
+    monkeypatch.setattr(oracle, "enumerate_stable_matchings", refuse)
+    for market in (ref_market, big):
+        cm = market.categories[0]
+        for side in (PATIENT, DOCTOR):
+            assert check_requesting_party_optimal(cm, outcomes[market, side], side)
+    assert not check_requesting_party_optimal(
+        ref_category, outcomes[ref_market, DOCTOR], PATIENT
+    )
+
+
+def reference_requesting_party_optimal(cm, matching, proposing_side):
+    """The optimality check as it first ran, kept as the reference: the
+    matching against every stable matching the lattice walk enumerates."""
+    stable = enumerate_stable_matchings(cm)
+    ours = partner_ranks(cm, matching.partners(cm), proposing_side)
+    return all(
+        mine <= theirs
+        for other in stable
+        for mine, theirs in zip(ours, partner_ranks(cm, other.partners(cm), proposing_side))
+    )
+
+
+def test_optimality_matches_the_enumeration_reference():
+    # Probes: tomhecs from both sides, ramhecs and every stable matching,
+    # each judged for both sides.
+    rng = random.Random("optimality-differential")
+    verdicts = refuted = 0
+    for seed in range(6000):
+        lists = ("full", "generator_partial", "random_length")[seed % 3]
+        market = small_market(rng, lists, seed)
+        cm = market.categories[0]
+        probes = [
+            tomhecs(market, PATIENT)[0],
+            tomhecs(market, DOCTOR)[0],
+            ramhecs(market, seed=seed)[0],
+            *enumerate_stable_matchings(cm),
+        ]
+        for matching in probes:
+            for side in (PATIENT, DOCTOR):
+                verdict = check_requesting_party_optimal(cm, matching, side)
+                assert verdict == reference_requesting_party_optimal(cm, matching, side), (
+                    seed, lists, side
+                )
+                verdicts += 1
+                refuted += not verdict
+    # Enough False verdicts that the two checks could disagree.
+    assert refuted >= 5000, (refuted, verdicts)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -453,3 +515,51 @@ def test_truthfulness_sweep_finds_immediate_acceptance_manipulable(monkeypatch):
         )
         manipulable += any(report.violations for report in reports)
     assert manipulable >= 50, manipulable
+
+
+def sampled_misreports(rng, row):
+    """Two random permutations, two truncations and two adjacent swaps of a
+    full list."""
+    m = len(row)
+    misreports = [tuple(rng.sample(row, m)) for _ in range(2)]
+    misreports += [row[: rng.randrange(m)] for _ in range(2)]
+    for i in (rng.randrange(m - 1) for _ in range(2)):
+        misreports.append(row[:i] + (row[i + 1], row[i]) + row[i + 2 :])
+    return misreports
+
+
+def sampled_gains(mechanism):
+    """(misreports tried, strict gains) over seeded full markets past the
+    sweep's guard: n=m of 16, 32 and 64, both proposing sides, 8 sampled
+    proposers each. Gains are scored on the TRUE lists."""
+    rng = random.Random("sampled-misreports")
+    tried = gains = 0
+    for n in (16, 32, 64):
+        for seed in range(4):
+            cm = generate_random_market(1, n, n, seed=f"sampled:{n}:{seed}").categories[0]
+            for side in (PATIENT, DOCTOR):
+                mine = 0 if side == PATIENT else 1
+                prefs, own_ranks = cm.prefs(side), cm.ranks[side]
+
+                def partners(pairs):
+                    return {pair[mine]: pair[1 - mine] for pair in pairs}
+
+                truthful = partners(mechanism(cm, side)[0])
+                for idx in rng.sample(range(n), 8):
+                    partner = truthful.get(idx)
+                    score = n if partner is None else own_ranks[idx][partner]
+                    for misreport in sampled_misreports(rng, prefs[idx]):
+                        swapped = prefs[:idx] + (misreport,) + prefs[idx + 1 :]
+                        new_partner = partners(mechanism(cm, side, prefs=swapped)[0]).get(idx)
+                        tried += 1
+                        gains += new_partner is not None and own_ranks[idx][new_partner] < score
+    return tried, gains
+
+
+def test_sampled_misreports_past_the_sweep_guard():
+    # Deferred acceptance is strategy-proof for the proposing side (Dubins &
+    # Freedman 1981; Roth 1982): no sampled misreport gains.
+    assert sampled_gains(tomhecs_category) == (1152, 0)
+    # Power control: the same misreports do gain under immediate acceptance.
+    tried, gains = sampled_gains(immediate_acceptance)
+    assert tried == 1152 and gains >= 1, gains
