@@ -17,13 +17,7 @@ from .market import (
     store_market,
     validate_market,
 )
-from .mechanisms import (
-    Matching,
-    TraceStats,
-    ramhecs,
-    run_mechanism,
-    tomhecs,
-)
+from .mechanisms import Matching, TraceStats, ramhecs, tomhecs
 from .oracle import (
     BlockingPair,
     TruthfulnessReport,
@@ -33,12 +27,7 @@ from .oracle import (
     find_blocking_pairs,
     is_stable,
 )
-from .metrics import (
-    MetricsReport,
-    metrics_report,
-    preferable_allocation_count,
-    satisfaction_level,
-)
+from .metrics import eta_zeta
 from .analytics import (
     EstimateResult,
     PerturbationSpec,

@@ -5,9 +5,10 @@ Subcommands:
   match check stability|optimality|truthfulness --market m.json [--side ...]
   match analytics lemma4|lemma5|lemma6 --n N --trials T [--seed S] [--p P]
 
-Exit codes: 0 success, 1 validation/check failure, 2 I/O error, 3 check
-refused (an instance outside the misreport sweep's guards: rosters too
-large, or partial lists). Stability and optimality are checked at any
+Exit codes: 0 success, 1 validation/check failure, 2 I/O error or an
+argparse usage error (say `match run` with no --config, or --reps two),
+3 check refused (an instance outside the misreport sweep's guards: rosters
+too large, or partial lists). Stability and optimality are checked at any
 roster size.
 """
 

@@ -27,7 +27,7 @@ from .market import (
     opposite,
 )
 from .mechanisms import MECHANISMS, Matching, run_categories
-from .metrics import preferable_allocation_count, satisfaction_level
+from .metrics import eta_zeta
 
 REQUESTING = "requesting"
 REQUESTED = "requested"
@@ -97,9 +97,15 @@ class ExperimentConfig:
             if value < 0:
                 raise ConfigError(f"config field {name!r} must be non-negative, not {value!r}")
         # An empty grid axis yields no rows, and an empty result has no summary.
+        # A repeated entry would run its grid cells twice, and summarize
+        # would add both copies into one repetition's totals.
         for name in ("mechanisms", "measured_sides", "presets"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"config field {name!r} must not be empty")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"config field {name!r} repeats {value!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.mode not in MODES:
@@ -202,11 +208,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 )
                 if config.save_matchings:
                     result.matchings[(rep, mechanism, preset)] = matching
+                # Scored against the TRUE preferences, not the misreports.
+                partners = [matching.partners(cm) for cm in market.categories]
                 for side in config.measured_sides:
-                    # Scored against the TRUE preferences, not the misreports.
-                    eta_by_cat, _ = satisfaction_level(market, matching, side)
-                    zeta_by_cat, _ = preferable_allocation_count(market, matching, side)
-                    for cm, trace in zip(market.categories, stats.per_category):
+                    for cm, cm_partners, trace in zip(
+                        market.categories, partners, stats.per_category
+                    ):
+                        eta, zeta = eta_zeta(cm, cm_partners, side)
                         result.rows.append(
                             ResultRow(
                                 rep=rep,
@@ -215,8 +223,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                 preset=preset,
                                 deviating_party=config.deviating_party,
                                 measured_side=side,
-                                eta=eta_by_cat[cm.category],
-                                zeta=zeta_by_cat[cm.category],
+                                eta=eta,
+                                zeta=zeta,
                                 proposals=trace.proposals,
                                 rejections=trace.rejections,
                                 matched_count=matching.matched_count(cm.category),

@@ -298,12 +298,3 @@ def tomhecs(
     """Deferred acceptance over every category; deterministic, no randomness."""
     return _validated_run(market, TOMHECS, proposing_side, record_trace=record_trace)
 
-
-def run_mechanism(
-    market: Market,
-    mechanism: str,
-    proposing_side: str = PATIENT,
-    seed: int | str = 0,
-) -> tuple[Matching, TraceStats]:
-    """Uniform dispatch: validate the market, then run the mechanism."""
-    return _validated_run(market, mechanism, proposing_side, seed)

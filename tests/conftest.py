@@ -1,6 +1,6 @@
 import pytest
 
-from medmatch import market_from_rankings
+from medmatch import eta_zeta, market_from_rankings
 
 # 4x4 reference market used across the suite. Patient-proposing deferred
 # acceptance on it yields {(p1,d3),(p2,d2),(p3,d1),(p4,d4)}.
@@ -40,3 +40,13 @@ def ref_category(ref_market):
 def labels(pairs):
     """Matching pairs as sorted (patient label, doctor label) tuples."""
     return sorted((p.label, d.label) for p, d in pairs)
+
+
+def scores(market, matching, side):
+    """Per-category eta and zeta dicts of a matching, scored on market's
+    lists: one eta_zeta call per category, as the harness makes.
+    """
+    eta, zeta = {}, {}
+    for cm in market.categories:
+        eta[cm.category], zeta[cm.category] = eta_zeta(cm, matching.partners(cm), side)
+    return eta, zeta

@@ -107,6 +107,30 @@ def test_run_rejects_mistyped_config(tmp_path, capsys, doc, field):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, flags, field, value",
+    [
+        ({}, ["--mechanism", "tomhecs", "--mechanism", "tomhecs"], "mechanisms", "tomhecs"),
+        ({}, ["--variation", "none", "--variation", "none"], "presets", "none"),
+        ({"measured_sides": ["patient", "doctor", "patient"]}, [], "measured_sides", "patient"),
+    ],
+    ids=["mechanisms", "presets", "measured_sides"],
+)
+def test_run_rejects_a_repeated_grid_entry(tmp_path, capsys, doc, flags, field, value):
+    # A repeated entry would run its grid cells twice, and summarize would add
+    # both copies into one rep's totals: zeta 5 with 3 patients.
+    path = tmp_path / "config.json"
+    base = {"k": 1, "n_patients": 3, "n_doctors": 3, "mechanisms": ["tomhecs"],
+            "repetitions": 2, "seed": 1}
+    path.write_text(json.dumps({**base, **doc}))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(path), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"config field {field!r} repeats {value!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_config_integer_past_the_digit_limit(tmp_path, capsys):
     # Past sys.get_int_max_str_digits(), json.load raises a bare ValueError.
     path = tmp_path / "config.json"

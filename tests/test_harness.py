@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import medmatch.market
 import medmatch.mechanisms
-from medmatch import Matching, generate_random_market, run_mechanism
-from medmatch.analytics import PerturbationSpec, perturb_preferences
+import medmatch.metrics
+from conftest import scores
+from medmatch import Matching, generate_random_market, ramhecs, tomhecs
+from medmatch.analytics import PRESET_PROBABILITIES, PerturbationSpec, perturb_preferences
 from medmatch.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -22,8 +24,7 @@ from medmatch.harness import (
     summarize,
     write_atomic,
 )
-from medmatch.market import PATIENT
-from medmatch.metrics import preferable_allocation_count, satisfaction_level
+from medmatch.market import DOCTOR, PATIENT
 
 
 def small_config(**overrides):
@@ -89,11 +90,8 @@ def test_single_rep_matches_direct_calls():
     rows = run_experiment(config).rows
     assert len(rows) == 2  # one per category
     market = generate_random_market(2, 4, 4, seed=f"{config.seed}:market:0")
-    matching, stats = run_mechanism(
-        market, "tomhecs", PATIENT, seed=f"{config.seed}:run:0:tomhecs:none"
-    )
-    eta_by_cat, _ = satisfaction_level(market, matching, PATIENT)
-    zeta_by_cat, _ = preferable_allocation_count(market, matching, PATIENT)
+    matching, stats = tomhecs(market, PATIENT)
+    eta_by_cat, zeta_by_cat = scores(market, matching, PATIENT)
     for row in rows:
         assert row.eta == eta_by_cat[row.category]
         assert row.zeta == zeta_by_cat[row.category]
@@ -116,8 +114,33 @@ def test_run_experiment_does_not_validate(monkeypatch):
     assert run_experiment(config).rows
     assert calls == []
     # The counter does see the public entry points' validation.
-    run_mechanism(generate_random_market(1, 3, 3, seed=0), "ramhecs")
+    ramhecs(generate_random_market(1, 3, 3, seed=0))
     assert len(calls) == 1
+
+
+def test_each_matching_is_scored_once(monkeypatch):
+    # The paper grid with one rep: 2 mechanisms x 4 presets x 10 categories
+    # give 80 partner maps, and 2 measured sides 160 rank lists and rows.
+    calls = {"partners": 0, "partner_ranks": 0}
+    partners, partner_ranks = Matching.partners, medmatch.metrics.partner_ranks
+
+    def counting_partners(self, cm):
+        calls["partners"] += 1
+        return partners(self, cm)
+
+    def counting_partner_ranks(*args):
+        calls["partner_ranks"] += 1
+        return partner_ranks(*args)
+
+    monkeypatch.setattr(Matching, "partners", counting_partners)
+    monkeypatch.setattr(medmatch.metrics, "partner_ranks", counting_partner_ranks)
+    config = ExperimentConfig(
+        mechanisms=("ramhecs", "tomhecs"),
+        presets=tuple(PRESET_PROBABILITIES),
+        measured_sides=(PATIENT, DOCTOR),
+    )
+    assert len(run_experiment(config).rows) == 160
+    assert calls == {"partners": 80, "partner_ranks": 160}
 
 
 def test_row_grid_shape_and_order():
@@ -145,10 +168,8 @@ def test_metrics_scored_against_true_preferences():
             market,
             PerturbationSpec(PATIENT, 1 / 2, seed=f"{config.seed}:perturb:{rep}:large"),
         )
-        matching, _ = run_mechanism(
-            perturbed, "tomhecs", PATIENT, seed=f"{config.seed}:run:{rep}:tomhecs:large"
-        )
-        eta_by_cat, _ = satisfaction_level(market, matching, PATIENT)
+        matching, _ = tomhecs(perturbed, PATIENT)
+        eta_by_cat, _ = scores(market, matching, PATIENT)
         for row in rows:
             if row.rep == rep:
                 assert row.eta == eta_by_cat[row.category]
@@ -294,7 +315,7 @@ def test_saved_matchings_round_trip_consistency():
                 (patients[p], doctors[d]) for p, d in record["pairs"][str(cm.category)]
             )
         matching = Matching(rosters, by_category)
-        eta_by_cat, _ = satisfaction_level(market, matching, PATIENT)
+        eta_by_cat, _ = scores(market, matching, PATIENT)
         for row in result.rows:
             if row.rep == rep:
                 assert row.eta == eta_by_cat[row.category]

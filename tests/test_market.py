@@ -19,7 +19,6 @@ from medmatch import (
     market_from_rankings,
     perturb_preferences,
     ramhecs,
-    run_mechanism,
     store_market,
     tomhecs,
     validate_market,
@@ -74,7 +73,6 @@ def test_malformed_preference_list_is_rejected(ref_market, bad):
     for run in (
         lambda: tomhecs(market),
         lambda: ramhecs(market),
-        lambda: run_mechanism(market, "tomhecs"),
     ):
         with pytest.raises(InvalidMarketError, match="<p1@c0>"):
             run()
@@ -89,7 +87,6 @@ def test_non_agent_roster_entry_is_rejected(ref_market):
     for run in (
         lambda: tomhecs(market),
         lambda: ramhecs(market),
-        lambda: run_mechanism(market, "tomhecs"),
     ):
         with pytest.raises(InvalidMarketError, match="roster position 0"):
             run()

@@ -10,11 +10,15 @@ from medmatch import (
     generate_random_market,
     market_from_rankings,
     ramhecs,
-    run_mechanism,
     tomhecs,
 )
 from medmatch.market import DOCTOR, PARTIAL, PATIENT, Market, opposite
-from medmatch.mechanisms import CategoryTrace, ramhecs_category, tomhecs_category
+from medmatch.mechanisms import (
+    CategoryTrace,
+    ramhecs_category,
+    run_categories,
+    tomhecs_category,
+)
 from medmatch.oracle import find_blocking_pairs
 
 
@@ -262,22 +266,11 @@ def test_invalid_market_is_rejected(ref_market):
         tomhecs(broken, PATIENT)
     with pytest.raises(InvalidMarketError):
         ramhecs(broken, 0)
-    with pytest.raises(InvalidMarketError):
-        run_mechanism(broken, "tomhecs")
 
 
-def test_run_mechanism_dispatch(ref_market):
-    direct, _ = tomhecs(ref_market, PATIENT)
-    dispatched, _ = run_mechanism(ref_market, "tomhecs", PATIENT)
-    assert direct == dispatched
-    direct, _ = ramhecs(ref_market, 42)
-    dispatched, _ = run_mechanism(ref_market, "ramhecs", seed=42)
-    assert direct == dispatched
-
-
-def test_run_mechanism_unknown_name(ref_market):
+def test_run_categories_unknown_name(ref_market):
     with pytest.raises(ValueError, match="unknown mechanism"):
-        run_mechanism(ref_market, "foo")
+        run_categories(ref_market, "foo")
 
 
 @pytest.mark.parametrize("side", [PATIENT, DOCTOR])

@@ -1,39 +1,37 @@
+import random
+
 import pytest
 
-from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS
+from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS, scores
 from medmatch import (
     Matching,
     PerturbationSpec,
     check_requesting_party_optimal,
+    eta_zeta,
     find_blocking_pairs,
     generate_random_market,
     market_from_rankings,
-    metrics_report,
     perturb_preferences,
-    preferable_allocation_count,
     ramhecs,
-    satisfaction_level,
     tomhecs,
 )
-from medmatch.market import DOCTOR, PATIENT
+from medmatch.market import DOCTOR, PATIENT, opposite
 
 
 def test_reference_market_eta(ref_market):
     matching, _ = tomhecs(ref_market, PATIENT)
-    per_cat, total = satisfaction_level(ref_market, matching, PATIENT)
-    assert per_cat == {0: 7}  # assigned ranks 1, 2, 2, 2
-    assert total == 7
-    per_cat, total = satisfaction_level(ref_market, matching, DOCTOR)
-    assert per_cat == {0: 4}  # assigned ranks 3, 0, 1, 0
-    assert total == 4
+    eta, _ = scores(ref_market, matching, PATIENT)
+    assert eta == {0: 7}  # assigned ranks 1, 2, 2, 2
+    eta, _ = scores(ref_market, matching, DOCTOR)
+    assert eta == {0: 4}  # assigned ranks 3, 0, 1, 0
 
 
 def test_reference_market_zeta(ref_market):
     matching, _ = tomhecs(ref_market, PATIENT)
-    _, zeta_p = preferable_allocation_count(ref_market, matching, PATIENT)
-    assert zeta_p == 0
-    _, zeta_d = preferable_allocation_count(ref_market, matching, DOCTOR)
-    assert zeta_d == 2  # d2 holds p2 and d4 holds p4
+    _, zeta_p = scores(ref_market, matching, PATIENT)
+    assert zeta_p == {0: 0}
+    _, zeta_d = scores(ref_market, matching, DOCTOR)
+    assert zeta_d == {0: 2}  # d2 holds p2 and d4 holds p4
 
 
 def test_identity_market_all_first_choices():
@@ -42,21 +40,7 @@ def test_identity_market_all_first_choices():
     market = market_from_rankings(rankings, rankings)
     matching, _ = tomhecs(market, PATIENT)
     for side in (PATIENT, DOCTOR):
-        _, eta = satisfaction_level(market, matching, side)
-        _, zeta = preferable_allocation_count(market, matching, side)
-        assert eta == 0
-        assert zeta == n
-
-
-def test_metrics_report_aggregates():
-    market = generate_random_market(3, 5, 5, seed=2)
-    matching, _ = tomhecs(market, PATIENT)
-    report = metrics_report(market, matching, PATIENT)
-    assert report.eta == sum(report.eta_by_category.values())
-    assert report.zeta == sum(report.zeta_by_category.values())
-    assert set(report.eta_by_category) == {0, 1, 2}
-    for cat, zeta in report.zeta_by_category.items():
-        assert 0 <= zeta <= 5
+        assert scores(market, matching, side) == ({0: 0}, {0: n})
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -64,8 +48,7 @@ def test_full_choice_equivalence(seed):
     # eta == 0 iff zeta == roster size, whenever everyone is matched.
     market = generate_random_market(1, 4, 4, seed=seed)
     matching, _ = tomhecs(market, PATIENT)
-    eta_by_cat, _ = satisfaction_level(market, matching, PATIENT)
-    zeta_by_cat, _ = preferable_allocation_count(market, matching, PATIENT)
+    eta_by_cat, zeta_by_cat = scores(market, matching, PATIENT)
     assert (eta_by_cat[0] == 0) == (zeta_by_cat[0] == 4)
 
 
@@ -76,8 +59,7 @@ def test_relabeling_invariance():
     base_d = [[2, 0, 1], [1, 2, 0], [0, 1, 2]]
     market = market_from_rankings(base_p, base_d)
     matching, _ = tomhecs(market, PATIENT)
-    _, eta = satisfaction_level(market, matching, PATIENT)
-    _, zeta = preferable_allocation_count(market, matching, PATIENT)
+    before = scores(market, matching, PATIENT)
 
     perm_p = [2, 0, 1]  # new ordinal of old patient i
     perm_d = [1, 2, 0]
@@ -88,9 +70,7 @@ def test_relabeling_invariance():
         [[perm_p[i] for i in base_d[j]] for j in inv_d],
     )
     matching2, _ = tomhecs(relabeled, PATIENT)
-    _, eta2 = satisfaction_level(relabeled, matching2, PATIENT)
-    _, zeta2 = preferable_allocation_count(relabeled, matching2, PATIENT)
-    assert (eta, zeta) == (eta2, zeta2)
+    assert scores(relabeled, matching2, PATIENT) == before
 
 
 def test_unmatched_agents_score_list_length():
@@ -98,10 +78,9 @@ def test_unmatched_agents_score_list_length():
     # list length to eta and nothing to zeta.
     market = market_from_rankings([[0], [0]], [[0, 1]], mode="partial")
     matching, _ = tomhecs(market, PATIENT)
-    _, eta = satisfaction_level(market, matching, PATIENT)
-    assert eta == 0 + 1
-    _, zeta = preferable_allocation_count(market, matching, PATIENT)
-    assert zeta == 1
+    eta, zeta = scores(market, matching, PATIENT)
+    assert eta == {0: 0 + 1}
+    assert zeta == {0: 1}
 
 
 def test_partner_absent_from_list_is_an_error():
@@ -110,7 +89,7 @@ def test_partner_absent_from_list_is_an_error():
     # Force a pair that is not on the patient's list.
     bogus = Matching({0: (cm.patients, cm.doctors)}, {0: frozenset({(0, 1)})})
     with pytest.raises(ValueError, match="absent from its list"):
-        satisfaction_level(partial, bogus, PATIENT)
+        eta_zeta(cm, bogus.partners(cm), PATIENT)
 
 
 def test_foreign_agents_are_rejected(ref_market):
@@ -119,9 +98,9 @@ def test_foreign_agents_are_rejected(ref_market):
     single = market_from_rankings([[0]], [[0]])
     foreign, _ = tomhecs(single, PATIENT)
     with pytest.raises(ValueError, match="unknown agents"):
-        satisfaction_level(ref_market, foreign, PATIENT)
+        scores(ref_market, foreign, PATIENT)
     with pytest.raises(ValueError, match="unknown agents"):
-        preferable_allocation_count(ref_market, foreign, DOCTOR)
+        scores(ref_market, foreign, DOCTOR)
 
 
 def test_mean_ordering_tomhecs_vs_ramhecs():
@@ -133,10 +112,11 @@ def test_mean_ordering_tomhecs_vs_ramhecs():
         market = generate_random_market(1, 6, 6, seed=seed)
         mt, _ = tomhecs(market, PATIENT)
         mr, _ = ramhecs(market, seed=seed)
-        eta_t += satisfaction_level(market, mt, PATIENT)[1]
-        eta_r += satisfaction_level(market, mr, PATIENT)[1]
-        zeta_t += preferable_allocation_count(market, mt, PATIENT)[1]
-        zeta_r += preferable_allocation_count(market, mr, PATIENT)[1]
+        cm = market.categories[0]
+        eta, zeta = eta_zeta(cm, mt.partners(cm), PATIENT)
+        eta_t, zeta_t = eta_t + eta, zeta_t + zeta
+        eta, zeta = eta_zeta(cm, mr.partners(cm), PATIENT)
+        eta_r, zeta_r = eta_r + eta, zeta_r + zeta
     assert eta_t / trials <= eta_r / trials
     assert zeta_t / trials >= zeta_r / trials
 
@@ -158,7 +138,7 @@ def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
         rosters = (other.categories[0].patients, other.categories[0].doctors)
     matching = Matching({0: rosters}, {0: frozenset(pairs)})
     with pytest.raises(ValueError, match="unknown agents"):
-        satisfaction_level(ref_market, matching, PATIENT)
+        scores(ref_market, matching, PATIENT)
     with pytest.raises(ValueError, match="unknown agents"):
         find_blocking_pairs(cm, matching)
 
@@ -171,7 +151,7 @@ def test_hand_built_pairs_that_are_not_a_matching_are_refused(ref_market, case):
     matching = Matching({0: (cm.patients, cm.doctors)}, {0: frozenset(pairs)})
     for side in (PATIENT, DOCTOR):
         with pytest.raises(ValueError, match="two pairs"):
-            satisfaction_level(ref_market, matching, side)
+            scores(ref_market, matching, side)
         with pytest.raises(ValueError, match="two pairs"):
             check_requesting_party_optimal(cm, matching, side)
     with pytest.raises(ValueError, match="two pairs"):
@@ -185,5 +165,63 @@ def test_matching_on_a_with_prefs_copy_scores_on_the_original(ref_market):
     cm = ref_market.categories[0]
     ranks = cm.ranks[PATIENT]
     expected = sum(ranks[p.ordinal][d.ordinal] for p, d in matching.pairs(0))
-    assert satisfaction_level(ref_market, matching, PATIENT) == ({0: expected}, expected)
+    assert scores(ref_market, matching, PATIENT)[0] == {0: expected}
     assert isinstance(find_blocking_pairs(cm, matching), list)
+
+
+def reference_eta_zeta(cm, matching, side):
+    """eta and zeta from the AgentId pairs and the agents' lists alone."""
+    partner = {}
+    for p, d in matching.pairs(cm.category):
+        partner[p], partner[d] = d, p
+    others = cm.roster(opposite(side))
+    eta = zeta = 0
+    for agent, row in zip(cm.roster(side), cm.prefs(side)):
+        listed = [others[j] for j in row]
+        if agent in partner:
+            eta += listed.index(partner[agent])
+            zeta += listed[0] == partner[agent]
+        else:
+            eta += len(listed)
+    return eta, zeta
+
+
+def random_market(seed):
+    """Full lists, generated partial lists of one length, or lists of
+    random lengths (empty ones too), on rosters of 0 to 6 agents a side.
+    """
+    rng = random.Random(seed)
+    n, m = rng.randint(0, 6), rng.randint(0, 6)
+    if seed % 3 == 0:
+        return generate_random_market(rng.randint(1, 3), n, m, seed=seed)
+    if seed % 3 == 1:
+        length = rng.randint(0, min(n, m))
+        return generate_random_market(rng.randint(1, 3), n, m, length, seed=seed)
+
+    def lists(size, other):
+        return [rng.sample(range(other), rng.randint(0, other)) for _ in range(size)]
+
+    return market_from_rankings(lists(n, m), lists(m, n), mode="partial")
+
+
+def test_eta_zeta_matches_a_brute_force_scorer():
+    seen = {"unequal rosters": 0, "empty list": 0, "unmatched": 0}
+    for seed in range(300):
+        market = random_market(seed)
+        matchings = (
+            tomhecs(market, PATIENT)[0],
+            tomhecs(market, DOCTOR)[0],
+            ramhecs(market, seed=seed)[0],
+        )
+        for cm in market.categories:
+            seen["unequal rosters"] += len(cm.patients) != len(cm.doctors)
+            seen["empty list"] += any(
+                not row for row in cm.patient_prefs + cm.doctor_prefs
+            )
+            for matching in matchings:
+                seen["unmatched"] += matching.matched_count(cm.category) < len(cm.patients)
+                for side in (PATIENT, DOCTOR):
+                    assert eta_zeta(cm, matching.partners(cm), side) == (
+                        reference_eta_zeta(cm, matching, side)
+                    ), (seed, cm.category, side)
+    assert all(seen.values()), seen
