@@ -83,7 +83,7 @@ class Matching:
         n, m = len(cm.patients), len(cm.doctors)
         # Tuple comparison tries identity first: O(1) for the rosters that
         # with_prefs copies share with their original.
-        if self.rosters[cm.category] != (cm.patients, cm.doctors):
+        if self.rosters.get(cm.category) != (cm.patients, cm.doctors):
             raise ValueError(
                 f"matching references unknown agents: not category {cm.category}'s rosters"
             )
@@ -164,13 +164,22 @@ def tomhecs_category(
     Every free proposer proposes to its most-preferred counterpart not yet
     approached; each counterpart keeps the best proposer it has seen (per
     its own list) and rejects the rest. A proposer absent from the
-    counterpart's list is rejected immediately. Terminates when every free
-    proposer has exhausted its list.
+    counterpart's list is rejected immediately. Terminates when no free
+    proposer has a counterpart left to approach.
 
-    A proposer is free only at the start or after a rejection, so each round
-    visits just the proposers rejected in the round before, in ascending
-    ordinal order: the same proposals in the same order as a scan of the
-    whole roster, in O(proposals) time rather than O(rounds x roster).
+    Each round is one pass: a proposal meets the receiver's current holder
+    at once and the worse of the two is rejected. The last holder within a
+    round is the best of the old holder and that round's proposers, so
+    pairs, proposals, rejections and rounds are those of resolving all of
+    a round's offers at its end (McVitie & Wilson 1971). The next round
+    visits just the proposers rejected in this one, in ascending ordinal
+    order, less those whose lists are exhausted, which are never queued
+    again: O(proposals) time rather than O(rounds x roster).
+
+    events, when given, are still emitted as the end-of-round resolution
+    emits them: each propose, and any immediate reject, as it is made;
+    each receiver's rejects and new hold at the round's end. A proposer
+    held and then displaced within one round gets no hold event.
 
     prefs, when given, are the proposers' lists to run on in place of cm's
     (one valid list per proposer); the receivers still rank by cm's own
@@ -188,66 +197,49 @@ def tomhecs_category(
     ranks = cm.ranks[opposite(proposing_side)]
 
     next_choice = [0] * len(proposers)
-    engaged_to: list[int | None] = [None] * len(proposers)  # receiver held by proposer
     holder: list[int | None] = [None] * len(receivers)  # proposer held by receiver
 
-    free = list(range(len(proposers)))
-    while True:
-        offers: dict[int, list[int]] = {}
-        rejected: list[int] = []
-        proposed = False
+    free = [p for p in range(len(proposers)) if len(prefs[p])]
+    while free:
+        trace.outer_iterations += 1
+        rnd = trace.outer_iterations
+        rejected = []
+        if events is not None:
+            # Per receiver, its holder at the round's start and then the
+            # round's acceptable offers, for the end-of-round events.
+            offers: dict[int, list[int | None]] = {}
         for p in free:
-            if next_choice[p] >= len(prefs[p]):
-                continue
             r = prefs[p][next_choice[p]]
             next_choice[p] += 1
-            proposed = True
-            trace.proposals += 1
+            rank = ranks[r]
+            h = holder[r]
             if events is not None:
-                events.append(
-                    ("propose", trace.outer_iterations + 1, proposers[p], receivers[r])
-                )
-            if ranks[r][p] is None:
-                # Receiver does not list this proposer: immediate rejection.
-                trace.rejections += 1
+                events.append(("propose", rnd, proposers[p], receivers[r]))
+                if rank[p] is None:
+                    events.append(("reject", rnd, proposers[p], receivers[r]))
+                else:
+                    offers.setdefault(r, [h]).append(p)
+            if rank[p] is None or h is not None and rank[h] < rank[p]:
                 rejected.append(p)
-                if events is not None:
-                    events.append(
-                        ("reject", trace.outer_iterations + 1, proposers[p], receivers[r])
-                    )
-                continue
-            offers.setdefault(r, []).append(p)
-        if not proposed:
-            break
-        trace.outer_iterations += 1
-        for r, candidates in offers.items():
-            if holder[r] is not None:
-                candidates.append(holder[r])
-            best = min(candidates, key=ranks[r].__getitem__)
-            for c in candidates:
-                if c == best:
-                    continue
-                trace.rejections += 1
-                engaged_to[c] = None
-                rejected.append(c)
-                if events is not None:
-                    events.append(
-                        ("reject", trace.outer_iterations, proposers[c], receivers[r])
-                    )
-            if holder[r] != best:
-                holder[r] = best
-                engaged_to[best] = r
-                if events is not None:
-                    events.append(
-                        ("hold", trace.outer_iterations, proposers[best], receivers[r])
-                    )
-        rejected.sort()
-        free = rejected
+            else:
+                holder[r] = p
+                if h is not None:
+                    rejected.append(h)
+        trace.proposals += len(free)
+        trace.rejections += len(rejected)
+        if events is not None:
+            for r, (start, *offered) in offers.items():
+                best = holder[r]
+                for c in offered + [start]:
+                    if c is not None and c != best:
+                        events.append(("reject", rnd, proposers[c], receivers[r]))
+                if start != best:
+                    events.append(("hold", rnd, proposers[best], receivers[r]))
+        free = sorted(p for p in rejected if next_choice[p] < len(prefs[p]))
 
-    # Per patient, its doctor: the receiver it holds when patients propose,
-    # the proposer holding it when doctors do.
-    partner = engaged_to if proposing_side == PATIENT else holder
-    return frozenset((p, d) for p, d in enumerate(partner) if d is not None), trace
+    # Per receiver, its proposer; as (patient, doctor) pairs.
+    held = [(p, r) for r, p in enumerate(holder) if p is not None]
+    return frozenset(held if proposing_side == PATIENT else ((r, p) for p, r in held)), trace
 
 
 def run_categories(

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -277,7 +278,7 @@ def test_run_categories_unknown_name(ref_market):
 @pytest.mark.parametrize("lists", ["full", "generator_partial", "random_length"])
 def test_tomhecs_matches_full_scan_reference(lists, side):
     rng = random.Random(f"full-scan:{lists}:{side}")
-    unequal = 0
+    unequal = crowded = 0
     for seed in range(100):
         n, m = rng.randint(0, 40), rng.randint(0, 40)
         unequal += n != m
@@ -297,7 +298,18 @@ def test_tomhecs_matches_full_scan_reference(lists, side):
         ref_pairs, ref_trace = full_scan_deferred_acceptance(cm, side, ref_events)
         expected = (ordinal_pairs(ref_pairs), ref_trace, ref_events)
         assert (pairs, trace, events) == expected, (n, m, seed)
-    assert unequal >= 80
+        # Untraced, as every production caller runs it.
+        assert tomhecs_category(cm, side) == expected[:2], (n, m, seed)
+        # A round that brings one receiver two acceptable offers is where a
+        # one-pass loop would emit a transient hold.
+        ranks = cm.ranks[opposite(side)]
+        offers = Counter(
+            (rnd, r.ordinal)
+            for kind, rnd, p, r in ref_events
+            if kind == "propose" and ranks[r.ordinal][p.ordinal] is not None
+        )
+        crowded += max(offers.values(), default=0) >= 2
+    assert unequal >= 80 and crowded >= 40, (unequal, crowded)
 
 
 def random_lists(rng, owners, width, full):

@@ -173,8 +173,14 @@ def test_single_mutual_pair_is_stable():
 def test_unknown_agents_rejected(ref_category):
     market = market_from_rankings([[0]], [[0]])
     foreign, _ = tomhecs(market, PATIENT)
-    with pytest.raises(ValueError, match="unknown agents"):
-        find_blocking_pairs(ref_category, foreign)
+    # Other rosters in category 0, and a category 1 the matching has no entry for.
+    for cm in (ref_category, generate_random_market(2, 3, 3).categories[1]):
+        with pytest.raises(ValueError, match="unknown agents"):
+            find_blocking_pairs(cm, foreign)
+        with pytest.raises(ValueError, match="unknown agents"):
+            is_stable(cm, foreign)
+        with pytest.raises(ValueError, match="unknown agents"):
+            check_requesting_party_optimal(cm, foreign, PATIENT)
 
 
 def test_enumeration_contains_proposer_optimal_matching(ref_market, ref_category):
