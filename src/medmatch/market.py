@@ -3,9 +3,11 @@
 A market is a collection of independent categories. Within a category each
 patient ranks some (or all) of the doctors and each doctor ranks some (or
 all) of the patients. Each list is stored once, as opposite-roster
-ordinals, best first, and matchings pair ordinals too; `AgentId` labels
-agents only in rosters, trace events, messages and the JSON wire format.
-All types are immutable after construction.
+ordinals, best first, and matchings pair ordinals too. Besides its list,
+an agent has only a hospital label, held at its ordinal in its side's
+label tuple; `AgentId`s are built from those on demand, for trace events,
+reports, messages and the JSON wire format. All types are immutable after
+construction.
 
 Random lists are drawn by `_sampler(rng)`, whose `sample(population, k)`
 makes the same `rng.getrandbits` calls as the standard library's
@@ -19,9 +21,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 from math import ceil, log
-from operator import attrgetter
 
 PATIENT = "patient"
 DOCTOR = "doctor"
@@ -75,21 +75,29 @@ class AgentId:
 
 @dataclass(frozen=True)
 class CategoryMarket:
-    """One category's rosters and both preference profiles.
+    """One category's hospital labels and both preference profiles.
 
-    Rosters may have unequal sizes; lists may cover a strict subset of the
-    opposite roster.
+    Agent a of a side is position a of that side's tuples. Rosters may have
+    unequal sizes; lists may cover a strict subset of the opposite roster.
     """
 
     category: int
-    patients: tuple[AgentId, ...]
-    doctors: tuple[AgentId, ...]
+    # hospitals[a] is agent a's hospital label.
+    patient_hospitals: tuple[str, ...]
+    doctor_hospitals: tuple[str, ...]
     # prefs[a] is agent a's list as opposite-roster ordinals, best first.
     patient_prefs: tuple[tuple[int, ...], ...]
     doctor_prefs: tuple[tuple[int, ...], ...]
 
+    def hospitals(self, side: str) -> tuple[str, ...]:
+        return self.patient_hospitals if side == PATIENT else self.doctor_hospitals
+
     def roster(self, side: str) -> tuple[AgentId, ...]:
-        return self.patients if side == PATIENT else self.doctors
+        """The side's agents as AgentIds, built anew on each call."""
+        return tuple(
+            AgentId(side, self.category, a, hospital)
+            for a, hospital in enumerate(self.hospitals(side))
+        )
 
     def prefs(self, side: str) -> tuple[tuple[int, ...], ...]:
         return self.patient_prefs if side == PATIENT else self.doctor_prefs
@@ -103,13 +111,14 @@ class CategoryMarket:
         tables are never mutated.
         """
         return _RankTables(
-            {side: (self.prefs(side), len(self.roster(opposite(side)))) for side in SIDES}
+            {side: (self.prefs(side), len(self.hospitals(opposite(side)))) for side in SIDES}
         )
 
     def with_prefs(self, side: str, lists: tuple[tuple[int, ...], ...]) -> "CategoryMarket":
         """A copy with side's preference lists replaced by lists. The copy
-        shares the other side's rank table, built here if this category has
-        not built it yet.
+        shares both label tuples, so a matching computed on either one
+        scores on the other, and the other side's rank table, built here if
+        this category has not built it yet.
         """
         other = opposite(side)
         copy = replace(self, **{f"{side}_prefs": lists})
@@ -150,72 +159,37 @@ class Market:
     mode: str = FULL
 
 
-def _check_roster(cm: CategoryMarket, side: str, out: list[str]) -> None:
-    roster = cm.roster(side)
-    # A valid roster passes whole-roster checks that run in C; only a
-    # roster that fails one is walked agent by agent to word its violations.
-    if (
-        type(cm.category) is int
-        and set(map(type, roster)) <= {AgentId}
-        and list(map(attrgetter("side"), roster)) == [side] * len(roster)
-        and list(map(attrgetter("category"), roster)) == [cm.category] * len(roster)
-        and list(map(attrgetter("ordinal"), roster)) == list(range(len(roster)))
-    ):
-        return
-    for pos, agent in enumerate(roster):
-        where = f"category {cm.category} {side} roster position {pos}"
-        if not isinstance(agent, AgentId):
-            out.append(f"{where}: {agent!r} is not an AgentId")
-            continue
-        if agent.side != side:
-            out.append(f"{where}: agent {agent!r} has wrong side")
-        if agent.category != cm.category:
-            out.append(f"{where}: agent {agent!r} has wrong category")
-        if agent.ordinal != pos:
-            out.append(f"{where}: agent {agent!r} ordinal does not match position")
-
-
 def _check_prefs(cm: CategoryMarket, side: str, mode: str, out: list[str]) -> None:
-    roster = cm.roster(side)
     prefs = cm.prefs(side)
-    counterparts = cm.roster(opposite(side))
-    if len(prefs) != len(roster):
+    size, width = len(cm.hospitals(side)), len(cm.hospitals(opposite(side)))
+
+    def agent(a: int, of: str = side) -> AgentId:
+        # Built only to word a violation; its repr shows no hospital.
+        return AgentId(of, cm.category, a)
+
+    if len(prefs) != size:
         out.append(
-            f"category {cm.category}: {len(roster)} {side}s but "
+            f"category {cm.category}: {size} {side}s but "
             f"{len(prefs)} preference lists"
         )
         return
-    # A valid side passes whole-side checks that run in C: exact types,
-    # the entry range, one set per row and, in full mode, the row length.
-    # Only a side that fails one is walked entry by entry to word its
-    # violations.
-    width = len(counterparts)
-    if (
-        set(map(type, prefs)) <= {tuple}
-        and set(map(type, chain.from_iterable(prefs))) <= {int}
-        and min(chain.from_iterable(prefs), default=0) >= 0
-        and max(chain.from_iterable(prefs), default=-1) < width
-        and list(map(len, map(set, prefs))) == list(map(len, prefs))
-        and (mode != FULL or set(map(len, prefs)) <= {width})
-    ):
-        return
-    for agent, row in zip(roster, prefs):
+    for a, row in enumerate(prefs):
         if not isinstance(row, tuple):
-            out.append(f"{agent!r}: preference list {row!r} is not a tuple")
+            out.append(f"{agent(a)!r}: preference list {row!r} is not a tuple")
             continue
         seen = set()
         for entry in row:
             if not isinstance(entry, int) or isinstance(entry, bool):
-                out.append(f"{agent!r}: entry {entry!r} is not an int ordinal")
-            elif not 0 <= entry < len(counterparts):
-                out.append(f"{agent!r}: entry {entry!r} is not on the opposite roster")
+                out.append(f"{agent(a)!r}: entry {entry!r} is not an int ordinal")
+            elif not 0 <= entry < width:
+                out.append(f"{agent(a)!r}: entry {entry!r} is not on the opposite roster")
             elif entry in seen:
-                out.append(f"{agent!r}: duplicate entry {counterparts[entry]!r}")
+                out.append(f"{agent(a)!r}: duplicate entry {agent(entry, opposite(side))!r}")
             else:
                 seen.add(entry)
-        if mode == FULL and len(seen) < len(counterparts):
+        if mode == FULL and len(seen) < width:
             out.append(
-                f"{agent!r}: list covers {len(seen)} of {len(counterparts)} "
+                f"{agent(a)!r}: list covers {len(seen)} of {width} "
                 "counterparts in full-preference mode"
             )
 
@@ -226,14 +200,13 @@ def validate_market(market: Market) -> list[str]:
     if market.mode not in MODES:
         violations.append(f"unknown mode {market.mode!r}")
     for pos, cm in enumerate(market.categories):
-        if cm.category != pos:
+        # bool and float indices equal to pos are still not indices.
+        if type(cm.category) is not int or cm.category != pos:
             violations.append(
                 f"category index {cm.category} at position {pos}: "
                 "indices must be contiguous from 0"
             )
     for cm in market.categories:
-        _check_roster(cm, PATIENT, violations)
-        _check_roster(cm, DOCTOR, violations)
         _check_prefs(cm, PATIENT, market.mode, violations)
         _check_prefs(cm, DOCTOR, market.mode, violations)
     return violations
@@ -246,22 +219,27 @@ def category_from_rankings(
     patient_hospitals: list[str] | None = None,
     doctor_hospitals: list[str] | None = None,
 ) -> CategoryMarket:
-    """Build a CategoryMarket from ordinal ranking lists (0-based)."""
+    """Build a CategoryMarket from ordinal ranking lists (0-based).
+
+    Each side's hospital list, when given, needs one label per ranking.
+    """
     n, m = len(patient_rankings), len(doctor_rankings)
     if patient_hospitals is None:
         patient_hospitals = [f"h{i + 1}" for i in range(n)]
     if doctor_hospitals is None:
         doctor_hospitals = [f"H{i + 1}" for i in range(m)]
-    patients = tuple(
-        AgentId(PATIENT, category, i, patient_hospitals[i]) for i in range(n)
-    )
-    doctors = tuple(
-        AgentId(DOCTOR, category, j, doctor_hospitals[j]) for j in range(m)
-    )
+    for side, hospitals, count in (
+        (PATIENT, patient_hospitals, n),
+        (DOCTOR, doctor_hospitals, m),
+    ):
+        if len(hospitals) != count:
+            raise ValueError(
+                f"{len(hospitals)} {side} hospitals for {count} {side} rankings"
+            )
     return CategoryMarket(
         category,
-        patients,
-        doctors,
+        tuple(patient_hospitals),
+        tuple(doctor_hospitals),
         tuple(map(tuple, patient_rankings)),
         tuple(map(tuple, doctor_rankings)),
     )
@@ -361,19 +339,18 @@ def generate_random_market(
     # the same int objects rather than one int per entry.
     ints = list(range(max(n_patients, n_doctors)))
     doctor_ints, patient_ints = ints[:n_doctors], ints[:n_patients]
+    # Every category shares one label tuple per side.
+    patient_hospitals = tuple(f"h{i + 1}" for i in range(n_patients))
+    doctor_hospitals = tuple(f"H{j + 1}" for j in range(n_doctors))
     categories = []
     for ci in range(k):
         sample = _sampler(random.Random(f"{seed}:gen:{ci}"))
-        patients = tuple(
-            AgentId(PATIENT, ci, i, f"h{i + 1}") for i in range(n_patients)
-        )
-        doctors = tuple(AgentId(DOCTOR, ci, j, f"H{j + 1}") for j in range(n_doctors))
         # A sample is a uniformly random ordered subset: subset choice and
         # permutation in one draw.
         patient_prefs = tuple(sample(doctor_ints, p_len) for _ in range(n_patients))
         doctor_prefs = tuple(sample(patient_ints, d_len) for _ in range(n_doctors))
         categories.append(
-            CategoryMarket(ci, patients, doctors, patient_prefs, doctor_prefs)
+            CategoryMarket(ci, patient_hospitals, doctor_hospitals, patient_prefs, doctor_prefs)
         )
     mode = FULL if list_length is None else PARTIAL
     return Market(tuple(categories), mode)
@@ -381,29 +358,25 @@ def generate_random_market(
 
 def store_market(market: Market) -> bytes:
     """Serialize a market to the canonical JSON document."""
-    doc = {
-        "mode": market.mode,
-        "categories": [
+    categories = []
+    for cm in market.categories:
+        patients, doctors = cm.roster(PATIENT), cm.roster(DOCTOR)
+        categories.append(
             {
                 "index": cm.category,
-                "patients": [
-                    {"id": a.label, "hospital": a.hospital} for a in cm.patients
-                ],
-                "doctors": [
-                    {"id": a.label, "hospital": a.hospital} for a in cm.doctors
-                ],
+                "patients": [{"id": a.label, "hospital": a.hospital} for a in patients],
+                "doctors": [{"id": a.label, "hospital": a.hospital} for a in doctors],
                 "patient_prefs": {
-                    a.label: [cm.doctors[e].label for e in row]
-                    for a, row in zip(cm.patients, cm.patient_prefs)
+                    a.label: [doctors[e].label for e in row]
+                    for a, row in zip(patients, cm.patient_prefs)
                 },
                 "doctor_prefs": {
-                    a.label: [cm.patients[e].label for e in row]
-                    for a, row in zip(cm.doctors, cm.doctor_prefs)
+                    a.label: [patients[e].label for e in row]
+                    for a, row in zip(doctors, cm.doctor_prefs)
                 },
             }
-            for cm in market.categories
-        ],
-    }
+        )
+    doc = {"mode": market.mode, "categories": categories}
     return json.dumps(doc, indent=2).encode("utf-8")
 
 
@@ -421,11 +394,10 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
-def _load_roster(
-    entries, side: str, category: int, path: str
-) -> tuple[tuple[AgentId, ...], dict[str, int]]:
-    """The roster and each agent's id mapped to its ordinal, in roster order."""
-    roster = []
+def _load_roster(entries, path: str) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The roster's hospital labels and each agent's id mapped to its
+    ordinal, in roster order."""
+    hospitals = []
     ordinals = {}
     for pos, entry in enumerate(entries):
         epath = f"{path}[{pos}]"
@@ -436,8 +408,8 @@ def _load_roster(
         if ident in ordinals:
             raise MarketFormatError(f"duplicate agent id {ident!r}", epath)
         ordinals[ident] = pos
-        roster.append(AgentId(side, category, pos, hospital))
-    return tuple(roster), ordinals
+        hospitals.append(hospital)
+    return tuple(hospitals), ordinals
 
 
 def _load_prefs(
@@ -495,12 +467,12 @@ def load_market(data: bytes | str) -> Market:
         p_entries = _require(raw, "patients", list, path)
         d_entries = _require(raw, "doctors", list, path)
         # Each id maps to one int object, so equal entries share it.
-        patients, p_ordinals = _load_roster(p_entries, PATIENT, index, f"{path}.patients")
-        doctors, d_ordinals = _load_roster(d_entries, DOCTOR, index, f"{path}.doctors")
+        p_hospitals, p_ordinals = _load_roster(p_entries, f"{path}.patients")
+        d_hospitals, d_ordinals = _load_roster(d_entries, f"{path}.doctors")
         patient_prefs = _load_prefs(raw, "patient_prefs", p_ordinals, d_ordinals, path)
         doctor_prefs = _load_prefs(raw, "doctor_prefs", d_ordinals, p_ordinals, path)
         categories.append(
-            CategoryMarket(index, patients, doctors, patient_prefs, doctor_prefs)
+            CategoryMarket(index, p_hospitals, d_hospitals, patient_prefs, doctor_prefs)
         )
     market = Market(tuple(categories), mode)
     if not _resolved_market_holds(market):
@@ -511,11 +483,10 @@ def load_market(data: bytes | str) -> Market:
 def _resolved_market_holds(market: Market) -> bool:
     """Whether a market load_market has resolved passes validate_market.
 
-    Resolving ids proves the rest: each roster is AgentIds of its side and
-    category in ordinal order, and each side has one tuple of in-range int
-    ordinals per agent. Left to check are the category indices, duplicate
-    entries and, in full mode, the list lengths. When one fails,
-    validate_market words the violations.
+    Resolving ids proves the rest: each category index is an int and each
+    side has one tuple of in-range int ordinals per agent. Left to check
+    are the category indices' order, duplicate entries and, in full mode,
+    the list lengths. When one fails, validate_market words the violations.
     """
     for pos, cm in enumerate(market.categories):
         if cm.category != pos:
@@ -525,6 +496,6 @@ def _resolved_market_holds(market: Market) -> bool:
             lengths = list(map(len, prefs))
             if list(map(len, map(set, prefs))) != lengths:
                 return False
-            if market.mode == FULL and set(lengths) - {len(cm.roster(opposite(side)))}:
+            if market.mode == FULL and set(lengths) - {len(cm.hospitals(opposite(side)))}:
                 return False
     return True

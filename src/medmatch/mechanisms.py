@@ -61,15 +61,19 @@ class TraceStats:
 @dataclass
 class Matching:
     """Per category, a set of (patient ordinal, doctor ordinal) pairs and
-    the (patients, doctors) roster tuples those ordinals index.
+    the (patient, doctor) hospital label tuples of the rosters those
+    ordinals index.
     """
 
-    rosters: dict[int, tuple[tuple[AgentId, ...], tuple[AgentId, ...]]]
+    rosters: dict[int, tuple[tuple[str, ...], tuple[str, ...]]]
     by_category: dict[int, frozenset[tuple[int, int]]]
 
     def pairs(self, category: int) -> frozenset[tuple[AgentId, AgentId]]:
         patients, doctors = self.rosters[category]
-        return frozenset((patients[i], doctors[j]) for i, j in self.by_category[category])
+        return frozenset(
+            (AgentId(PATIENT, category, i, patients[i]), AgentId(DOCTOR, category, j, doctors[j]))
+            for i, j in self.by_category[category]
+        )
 
     def matched_count(self, category: int) -> int:
         return len(self.by_category[category])
@@ -80,10 +84,10 @@ class Matching:
         rosters, names an ordinal off cm's rosters or names one ordinal in
         two pairs.
         """
-        n, m = len(cm.patients), len(cm.doctors)
-        # Tuple comparison tries identity first: O(1) for the rosters that
-        # with_prefs copies share with their original.
-        if self.rosters.get(cm.category) != (cm.patients, cm.doctors):
+        n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
+        # Tuple comparison tries identity first: O(1) for the label tuples
+        # that with_prefs copies share with their original.
+        if self.rosters.get(cm.category) != (cm.patient_hospitals, cm.doctor_hospitals):
             raise ValueError(
                 f"matching references unknown agents: not category {cm.category}'s rosters"
             )
@@ -119,7 +123,7 @@ def ramhecs_category(
     does when len(seq) == c, so both branches keep the same RNG stream.
     """
     trace = CategoryTrace(cm.category)
-    n, m = len(cm.patients), len(cm.doctors)
+    n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
     prefs = cm.patient_prefs
     free = bytearray(b"\x01") * m
     is_free = free.__getitem__
@@ -190,16 +194,17 @@ def tomhecs_category(
     The misreport sweep relies on it.
     """
     trace = CategoryTrace(cm.category)
-    proposers = cm.roster(proposing_side)
-    receivers = cm.roster(opposite(proposing_side))
     if prefs is None:
         prefs = cm.prefs(proposing_side)
     ranks = cm.ranks[opposite(proposing_side)]
+    if events is not None:
+        proposers = cm.roster(proposing_side)
+        receivers = cm.roster(opposite(proposing_side))
 
-    next_choice = [0] * len(proposers)
-    holder: list[int | None] = [None] * len(receivers)  # proposer held by receiver
+    next_choice = [0] * len(prefs)
+    holder: list[int | None] = [None] * len(ranks)  # proposer held by receiver
 
-    free = [p for p in range(len(proposers)) if len(prefs[p])]
+    free = [p for p in range(len(prefs)) if len(prefs[p])]
     while free:
         trace.outer_iterations += 1
         rnd = trace.outer_iterations
@@ -265,7 +270,7 @@ def run_categories(
             pairs, trace = ramhecs_category(cm, rng)
         else:
             pairs, trace = tomhecs_category(cm, proposing_side, stats.events)
-        rosters[cm.category] = (cm.patients, cm.doctors)
+        rosters[cm.category] = (cm.patient_hospitals, cm.doctor_hospitals)
         by_category[cm.category] = pairs
         stats.per_category.append(trace)
     return Matching(rosters, by_category), stats

@@ -66,10 +66,11 @@ def find_blocking_pairs(cm: CategoryMarket, matching: Matching) -> list[Blocking
     Being unmatched ranks below every listed counterpart. Pairs are
     returned in (patient ordinal, patient's preference rank) order.
     """
-    return [
-        BlockingPair(cm.patients[p], cm.doctors[d])
-        for p, d in _blocking_ordinals(cm, matching.partners(cm))
-    ]
+    blocking = list(_blocking_ordinals(cm, matching.partners(cm)))
+    if not blocking:
+        return []
+    patients, doctors = cm.roster(PATIENT), cm.roster(DOCTOR)
+    return [BlockingPair(patients[p], doctors[d]) for p, d in blocking]
 
 
 def is_stable(cm: CategoryMarket, matching: Matching) -> bool:
@@ -87,7 +88,7 @@ def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> dict[str, list[int
     receiving = opposite(proposing_side)
     prefs = cm.prefs(proposing_side)
     ranks = cm.ranks[receiving]
-    holder: list[int | None] = [None] * len(cm.roster(receiving))
+    holder: list[int | None] = [None] * len(ranks)
     partner: list[int | None] = [None] * len(prefs)
     next_choice = [0] * len(prefs)
     free = list(range(len(prefs)))
@@ -122,7 +123,7 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
     patient, -1 when unmatched). Guarded to rosters of at most
     ENUMERATION_LIMIT agents.
     """
-    n, m = len(cm.patients), len(cm.doctors)
+    n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
     if max(n, m) > ENUMERATION_LIMIT:
         raise CheckRefused(
             f"instance too large: max roster {max(n, m)} > {ENUMERATION_LIMIT}"
@@ -176,7 +177,7 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
                 stack.append(reached)
     return [
         Matching(
-            {cm.category: (cm.patients, cm.doctors)},
+            {cm.category: (cm.patient_hospitals, cm.doctor_hospitals)},
             {cm.category: frozenset((p, d) for p, d in enumerate(a) if d != -1)},
         )
         for a in sorted(seen)
@@ -213,15 +214,14 @@ def check_truthfulness_exhaustive(
     start with the last run's read prefix runs the mechanism; the others
     take the last run's partner.
     """
+    width = len(cm.hospitals(opposite(proposing_side)))
+    if width > MISREPORT_LIMIT:
+        raise CheckRefused(f"instance too large: opposite roster {width} > {MISREPORT_LIMIT}")
+    if any(None in ranks for side in SIDES for ranks in cm.ranks[side]):
+        raise CheckRefused("misreport sweep requires full preference lists")
     counterparts = cm.roster(opposite(proposing_side))
     proposers = cm.roster(proposing_side)
     prefs = cm.prefs(proposing_side)
-    if len(counterparts) > MISREPORT_LIMIT:
-        raise CheckRefused(
-            f"instance too large: opposite roster {len(counterparts)} > {MISREPORT_LIMIT}"
-        )
-    if any(None in ranks for side in SIDES for ranks in cm.ranks[side]):
-        raise CheckRefused("misreport sweep requires full preference lists")
 
     # Where the proposer and its partner sit in a (patient, doctor) pair.
     mine, theirs = (0, 1) if proposing_side == PATIENT else (1, 0)
@@ -245,7 +245,7 @@ def check_truthfulness_exhaustive(
         violations = []
         tried = 0
         read = None  # the read prefix of the last run on this proposer's list
-        for perm in permutations(range(len(counterparts))):
+        for perm in permutations(range(width)):
             if perm == row:
                 continue
             tried += 1

@@ -308,9 +308,9 @@ def test_saved_matchings_round_trip_consistency():
         market = generate_random_market(2, 4, 4, seed=f"{config.seed}:market:{rep}")
         rosters, by_category = {}, {}
         for cm in market.categories:
-            patients = {a.label: i for i, a in enumerate(cm.patients)}
-            doctors = {a.label: j for j, a in enumerate(cm.doctors)}
-            rosters[cm.category] = (cm.patients, cm.doctors)
+            patients = {a.label: i for i, a in enumerate(cm.roster(PATIENT))}
+            doctors = {a.label: j for j, a in enumerate(cm.roster(DOCTOR))}
+            rosters[cm.category] = (cm.patient_hospitals, cm.doctor_hospitals)
             by_category[cm.category] = frozenset(
                 (patients[p], doctors[d]) for p, d in record["pairs"][str(cm.category)]
             )

@@ -33,10 +33,14 @@ from medmatch.market import (
     AgentId,
     CategoryMarket,
     _RankTables,
+    category_from_rankings,
     _sampler,
     opposite,
 )
+from medmatch.mechanisms import RAMHECS, TOMHECS, run_categories
+from medmatch.metrics import eta_zeta
 from medmatch.oracle import check_truthfulness_exhaustive
+from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS
 from test_oracle import reference_truthfulness_sweep
 
 
@@ -78,18 +82,77 @@ def test_malformed_preference_list_is_rejected(ref_market, bad):
             run()
 
 
-def test_non_agent_roster_entry_is_rejected(ref_market):
-    cm = ref_market.categories[0]
-    market = Market((dataclasses.replace(cm, patients=("p1",) + cm.patients[1:]),))
-    assert "category 0 patient roster position 0: 'p1' is not an AgentId" in (
-        validate_market(market)
-    )
-    for run in (
-        lambda: tomhecs(market),
-        lambda: ramhecs(market),
-    ):
-        with pytest.raises(InvalidMarketError, match="roster position 0"):
-            run()
+@pytest.mark.parametrize("index", [True, 1.0], ids=repr)
+def test_category_index_must_be_an_int(index):
+    # Both equal 1, the position they sit at, yet neither is an index.
+    first, second = generate_random_market(2, 3, 3, seed=1).categories
+    market = Market((first, dataclasses.replace(second, category=index)))
+    assert validate_market(market) == [
+        f"category index {index} at position 1: indices must be contiguous from 0"
+    ]
+    with pytest.raises(InvalidMarketError, match="category index"):
+        tomhecs(market)
+
+
+@pytest.mark.parametrize("build", [market_from_rankings, category_from_rankings])
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+@pytest.mark.parametrize("count", [3, 5])
+def test_hospital_list_must_fit_its_rankings(build, side, count):
+    args = (REF_PATIENT_RANKINGS, REF_DOCTOR_RANKINGS)
+    if build is category_from_rankings:
+        args = (0,) + args
+    hospitals = [f"x{i}" for i in range(count)]
+    with pytest.raises(ValueError, match=f"^{count} {side} hospitals for 4 {side} rankings$"):
+        build(*args, **{f"{side}_hospitals": hospitals})
+
+
+def agent_ids_in(value):
+    """How many AgentIds value holds, through nested tuples and lists."""
+    if isinstance(value, AgentId):
+        return 1
+    if isinstance(value, (tuple, list)):
+        return sum(map(agent_ids_in, value))
+    return 0
+
+
+def test_categories_hold_no_agent_ids(ref_market):
+    generated = generate_random_market(2, 4, 3, seed=5)
+    partial = generate_random_market(1, 4, 3, list_length=2, seed=5)
+    made = [
+        generated,
+        partial,
+        ref_market,
+        load_market(store_market(partial)),
+        perturb_preferences(generated, PerturbationSpec(DOCTOR, 1.0, 2)),
+    ]
+    categories = [cm for market in made for cm in market.categories]
+    categories.append(category_from_rankings(1, [[0, 1]], [[0], [0]], ["a"], ["b", "c"]))
+    for cm in categories:
+        for field in dataclasses.fields(cm):
+            assert agent_ids_in(getattr(cm, field.name)) == 0, field.name
+
+
+def test_untraced_runs_build_no_agent_ids(monkeypatch):
+    built = []
+    init = AgentId.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AgentId, "__init__", counting_init)
+    market = generate_random_market(2, 8, 8)
+    for mechanism, side in ((TOMHECS, PATIENT), (TOMHECS, DOCTOR), (RAMHECS, PATIENT)):
+        matching, _ = run_categories(market, mechanism, side)
+        for cm in market.categories:
+            for scored in (PATIENT, DOCTOR):
+                eta_zeta(cm, matching.partners(cm), scored)
+    # The validated entry points name agents only in violations.
+    tomhecs(market, DOCTOR)
+    ramhecs(market, seed=3)
+    assert built == []
+    # The edges still name agents.
+    assert len(matching.pairs(0)) == 8 and len(built) == 16
 
 
 def test_short_list_rejected_in_full_mode(ref_market):
@@ -102,31 +165,20 @@ def test_short_list_rejected_in_full_mode(ref_market):
 
 
 def reference_violations(market):
-    """validate_market as a per-entry loop over every roster and list, kept
-    as the reference for the whole-row checks: same messages, same order.
+    """validate_market written out as one loop over every category index,
+    roster length and list entry: the reference for its messages and their
+    order.
     """
     out = []
     if market.mode not in MODES:
         out.append(f"unknown mode {market.mode!r}")
     for pos, cm in enumerate(market.categories):
-        if cm.category != pos:
+        if type(cm.category) is not int or cm.category != pos:
             out.append(
                 f"category index {cm.category} at position {pos}: "
                 "indices must be contiguous from 0"
             )
     for cm in market.categories:
-        for side in (PATIENT, DOCTOR):
-            for pos, agent in enumerate(cm.roster(side)):
-                where = f"category {cm.category} {side} roster position {pos}"
-                if not isinstance(agent, AgentId):
-                    out.append(f"{where}: {agent!r} is not an AgentId")
-                    continue
-                if agent.side != side:
-                    out.append(f"{where}: agent {agent!r} has wrong side")
-                if agent.category != cm.category:
-                    out.append(f"{where}: agent {agent!r} has wrong category")
-                if agent.ordinal != pos:
-                    out.append(f"{where}: agent {agent!r} ordinal does not match position")
         for side in (PATIENT, DOCTOR):
             roster, prefs = cm.roster(side), cm.prefs(side)
             counterparts = cm.roster(opposite(side))
@@ -159,44 +211,25 @@ def reference_violations(market):
 
 
 def mutate_category(cm, rng):
-    """cm with one random defect, or none, in a roster or a preference list."""
+    """cm with one random defect, or none, in an index, a roster length or
+    a preference list."""
     side = rng.choice((PATIENT, DOCTOR))
-    roster, prefs = list(cm.roster(side)), list(cm.prefs(side))
-    width = len(cm.roster(opposite(side)))
+    prefs = list(cm.prefs(side))
+    width = len(cm.hospitals(opposite(side)))
     kind = rng.choice(
-        ("none", "row type", "entry", "duplicate", "short", "roster entry", "agent field",
-         "category index", "nan index", "row count")
+        ("none", "row type", "entry", "duplicate", "short", "roster length",
+         "category index", "row count")
     )
     if kind == "category index":
-        return dataclasses.replace(cm, category=rng.choice((True, 1.0, -1, cm.category + 1)))
-    if kind == "nan index":
-        # NaN != NaN, yet a list holding the same NaN object equals itself.
-        nan = float("nan")
-
-        def relabel(roster):
-            return tuple(
-                dataclasses.replace(a, category=nan) if isinstance(a, AgentId) else a
-                for a in roster
-            )
-
-        return dataclasses.replace(
-            cm, category=nan, patients=relabel(cm.patients), doctors=relabel(cm.doctors)
-        )
+        index = rng.choice((True, 1.0, float("nan"), -1, cm.category + 1))
+        return dataclasses.replace(cm, category=index)
+    if kind == "roster length":
+        # One label past, or one short of, the side's lists.
+        labels = cm.hospitals(side)
+        labels = labels + ("x",) if not labels or rng.random() < 0.5 else labels[:-1]
+        return dataclasses.replace(cm, **{f"{side}_hospitals": labels})
     if kind == "row count" and prefs:
         prefs.pop()
-    elif kind in ("roster entry", "agent field") and roster:
-        pos = rng.randrange(len(roster))
-        if kind == "roster entry" or not isinstance(roster[pos], AgentId):
-            roster[pos] = rng.choice((f"x{pos}", None, pos, (side, pos)))
-        else:
-            field, value = rng.choice(
-                (("side", opposite(side)), ("category", cm.category + 1),
-                 ("category", True if cm.category == 1 else 1.0), ("ordinal", pos + 1),
-                 ("ordinal", -1), ("ordinal", float(pos)))
-            )
-            roster[pos] = dataclasses.replace(roster[pos], **{field: value})
-        field = "patients" if side == PATIENT else "doctors"
-        return dataclasses.replace(cm, **{field: tuple(roster)})
     elif prefs and kind != "none":
         agent = rng.randrange(len(prefs))
         # A row an earlier edit made a non-tuple is edited as an empty one.
@@ -249,7 +282,7 @@ def test_generator_category_count_and_shape():
     assert market.mode == FULL
     assert len(market.categories) == 10
     for cm in market.categories:
-        assert len(cm.patients) == 4 and len(cm.doctors) == 4
+        assert len(cm.patient_hospitals) == 4 and len(cm.doctor_hospitals) == 4
         for row in cm.patient_prefs + cm.doctor_prefs:
             assert len(row) == 4
 
@@ -261,7 +294,7 @@ def test_generator_partial_lists():
     for row in cm.patient_prefs:
         assert len(row) == 2
         assert len(set(row)) == 2
-        assert all(0 <= e < len(cm.doctors) for e in row)
+        assert all(0 <= e < len(cm.doctor_hospitals) for e in row)
     for row in cm.doctor_prefs:
         assert len(row) == 2
 
@@ -290,7 +323,7 @@ def test_generator_output_always_validates(k, n, m, partial, cut, seed):
     for cm in market.categories:
         if not partial:
             for row in cm.patient_prefs:
-                assert set(row) == set(range(len(cm.doctors)))
+                assert set(row) == set(range(len(cm.doctor_hospitals)))
         for side in (PATIENT, DOCTOR):
             width = len(cm.roster(opposite(side)))
             prefs, ranks = cm.prefs(side), cm.ranks[side]
@@ -340,7 +373,9 @@ def test_with_prefs_shares_the_unchanged_side(side):
     lists = tuple(row[::-1] for row in cm.prefs(side))
     copy = cm.with_prefs(side, lists)
     assert copy.prefs(side) == lists and copy.prefs(other) == cm.prefs(other)
-    assert (copy.category, copy.patients, copy.doctors) == (cm.category, cm.patients, cm.doctors)
+    assert copy.category == cm.category
+    assert copy.patient_hospitals is cm.patient_hospitals
+    assert copy.doctor_hospitals is cm.doctor_hospitals
     # The unchanged side's table was built on the original and is shared.
     assert list(cm.ranks) == [other]
     assert copy.ranks[other] is cm.ranks[other]

@@ -95,8 +95,9 @@ def set_scan_ramhecs(cm, rng):
     trace = CategoryTrace(cm.category)
     prefs = cm.patient_prefs
     doctor_ranks = cm.ranks[DOCTOR]
-    available = set(range(len(cm.doctors)))
-    active = list(range(len(cm.patients)))
+    patients, doctors = cm.roster(PATIENT), cm.roster(DOCTOR)
+    available = set(range(len(doctors)))
+    active = list(range(len(patients)))
     pairs = []
     while active:
         trace.outer_iterations += 1
@@ -110,7 +111,7 @@ def set_scan_ramhecs(cm, rng):
             continue
         d = rng.choice(candidates)
         trace.proposals += 1
-        pairs.append((cm.patients[t], cm.doctors[d]))
+        pairs.append((patients[t], doctors[d]))
         active.pop(pos)
         available.remove(d)
     return frozenset(pairs), trace

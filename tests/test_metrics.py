@@ -87,7 +87,7 @@ def test_partner_absent_from_list_is_an_error():
     partial = market_from_rankings([[0], [1]], [[0], [1]], mode="partial")
     cm = partial.categories[0]
     # Force a pair that is not on the patient's list.
-    bogus = Matching({0: (cm.patients, cm.doctors)}, {0: frozenset({(0, 1)})})
+    bogus = Matching({0: (cm.patient_hospitals, cm.doctor_hospitals)}, {0: frozenset({(0, 1)})})
     with pytest.raises(ValueError, match="absent from its list"):
         eta_zeta(cm, bogus.partners(cm), PATIENT)
 
@@ -124,7 +124,7 @@ def test_mean_ordering_tomhecs_vs_ramhecs():
 @pytest.mark.parametrize("case", ["negative_ordinal", "off_roster", "other_rosters"])
 def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
     cm = ref_market.categories[0]
-    rosters = (cm.patients, cm.doctors)
+    rosters = (cm.patient_hospitals, cm.doctor_hospitals)
     pairs = {(0, 2), (1, 0)}
     if case == "negative_ordinal":
         # Index -1 would silently read the last patient, p4.
@@ -135,7 +135,7 @@ def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
         # Same lengths, other agents: the default hospitals differ from
         # ref_market's, though every pair is in range.
         other = market_from_rankings(REF_PATIENT_RANKINGS, REF_DOCTOR_RANKINGS)
-        rosters = (other.categories[0].patients, other.categories[0].doctors)
+        rosters = (other.categories[0].patient_hospitals, other.categories[0].doctor_hospitals)
     matching = Matching({0: rosters}, {0: frozenset(pairs)})
     with pytest.raises(ValueError, match="unknown agents"):
         scores(ref_market, matching, PATIENT)
@@ -148,7 +148,7 @@ def test_hand_built_pairs_that_are_not_a_matching_are_refused(ref_market, case):
     cm = ref_market.categories[0]
     # One agent paired with three of the other side's.
     pairs = {(1, 0), (1, 1), (1, 2)} if case == "patient_twice" else {(0, 1), (1, 1), (2, 1)}
-    matching = Matching({0: (cm.patients, cm.doctors)}, {0: frozenset(pairs)})
+    matching = Matching({0: (cm.patient_hospitals, cm.doctor_hospitals)}, {0: frozenset(pairs)})
     for side in (PATIENT, DOCTOR):
         with pytest.raises(ValueError, match="two pairs"):
             scores(ref_market, matching, side)
@@ -214,12 +214,14 @@ def test_eta_zeta_matches_a_brute_force_scorer():
             ramhecs(market, seed=seed)[0],
         )
         for cm in market.categories:
-            seen["unequal rosters"] += len(cm.patients) != len(cm.doctors)
+            seen["unequal rosters"] += len(cm.patient_hospitals) != len(cm.doctor_hospitals)
             seen["empty list"] += any(
                 not row for row in cm.patient_prefs + cm.doctor_prefs
             )
             for matching in matchings:
-                seen["unmatched"] += matching.matched_count(cm.category) < len(cm.patients)
+                seen["unmatched"] += matching.matched_count(cm.category) < len(
+                    cm.patient_hospitals
+                )
                 for side in (PATIENT, DOCTOR):
                     assert eta_zeta(cm, matching.partners(cm), side) == (
                         reference_eta_zeta(cm, matching, side)

@@ -26,7 +26,7 @@ from medmatch.metrics import partner_ranks
 def pair_up(cm, assignment):
     """Matching from {patient ordinal: doctor ordinal}."""
     return Matching(
-        {cm.category: (cm.patients, cm.doctors)},
+        {cm.category: (cm.patient_hospitals, cm.doctor_hospitals)},
         {cm.category: frozenset(assignment.items())},
     )
 
@@ -36,8 +36,8 @@ def naive_blocking_scan(cm, matching):
     p_to_d = dict(matching.pairs(cm.category))
     d_to_p = {d: p for p, d in p_to_d.items()}
     found = set()
-    for patient, plist in zip(cm.patients, cm.patient_prefs):
-        for doctor, dlist in zip(cm.doctors, cm.doctor_prefs):
+    for patient, plist in zip(cm.roster(PATIENT), cm.patient_prefs):
+        for doctor, dlist in zip(cm.roster(DOCTOR), cm.doctor_prefs):
             if patient.ordinal not in dlist or doctor.ordinal not in plist:
                 continue
             if p_to_d.get(patient) == doctor:
@@ -60,7 +60,7 @@ def brute_force_stable_matchings(cm):
     maximal mutually-acceptable matching, grown patient by patient, kept
     when it has no blocking pair. Factorial-time; small rosters only.
     """
-    n, m = len(cm.patients), len(cm.doctors)
+    n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
     doctor_ranks = cm.ranks[DOCTOR]
     mutual = [
         sorted(d for d in row if doctor_ranks[d][p] is not None)
@@ -111,7 +111,7 @@ def reference_truthfulness_sweep(cm, proposing_side, mechanism=tomhecs_category)
     counterparts = cm.roster(opposite(proposing_side))
     proposers = cm.roster(proposing_side)
     prefs = cm.prefs(proposing_side)
-    rosters = (cm.patients, cm.doctors)
+    rosters = (cm.patient_hospitals, cm.doctor_hospitals)
 
     def outcome(category):
         pairs, _ = mechanism(category, proposing_side)
@@ -144,7 +144,8 @@ def test_tomhecs_output_has_no_blocking_pairs(ref_market, ref_category):
     matching, _ = tomhecs(ref_market, PATIENT)
     assert find_blocking_pairs(ref_category, matching) == []
     assert is_stable(ref_category, matching)
-    assert matching.matched_count(0) == len(ref_category.patients) == len(ref_category.doctors)
+    cm = ref_category
+    assert matching.matched_count(0) == len(cm.patient_hospitals) == len(cm.doctor_hospitals)
 
 
 def test_unstable_perfect_matching_is_flagged(ref_category):
@@ -158,7 +159,8 @@ def test_unstable_perfect_matching_is_flagged(ref_category):
 def test_empty_matching_is_unstable(ref_category):
     matching = pair_up(ref_category, {})
     assert not is_stable(ref_category, matching)
-    assert not matching.matched_count(0) == len(ref_category.patients) == len(ref_category.doctors)
+    cm = ref_category
+    assert not matching.matched_count(0) == len(cm.patient_hospitals) == len(cm.doctor_hospitals)
 
 
 def test_single_mutual_pair_is_stable():
@@ -166,7 +168,7 @@ def test_single_mutual_pair_is_stable():
     cm = market.categories[0]
     matching = pair_up(cm, {0: 0})
     assert is_stable(cm, matching)
-    assert matching.matched_count(0) == len(cm.patients) == len(cm.doctors)
+    assert matching.matched_count(0) == len(cm.patient_hospitals) == len(cm.doctor_hospitals)
     assert len(enumerate_stable_matchings(cm)) == 1
 
 
@@ -226,7 +228,7 @@ def test_enumeration_matches_brute_force(lists):
     for seed in range(150):
         market = small_market(rng, lists, seed)
         cm = market.categories[0]
-        n, m = len(cm.patients), len(cm.doctors)
+        n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
         assert enumerate_stable_matchings(cm) == brute_force_stable_matchings(cm), (n, m, seed)
 
 
