@@ -4,6 +4,10 @@ The estimators simulate the stylized probability models (uniform first-pick
 index, independent geometric rejections) and the randomized mechanism's
 concrete dynamics; each converges to a known closed form that the tests pin
 at three standard errors.
+
+numpy is imported only by `simulate_geometric_rejections`, on its first
+call, so importing medmatch and every command but `analytics lemma6` never
+load it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .market import DOCTOR, PATIENT, Market, _sampler, category_from_rankings
 from .mechanisms import ramhecs_category
@@ -143,6 +145,8 @@ def simulate_geometric_rejections(
         raise ValueError("trials must be >= 1")
     if agents < 1:
         raise ValueError("agents must be >= 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     powers = p ** np.arange(horizon)
     totals = np.empty(trials)

@@ -167,6 +167,9 @@ def _check_prefs(cm: CategoryMarket, side: str, mode: str, out: list[str]) -> No
         # Built only to word a violation; its repr shows no hospital.
         return AgentId(of, cm.category, a)
 
+    for a, label in enumerate(cm.hospitals(side)):
+        if not isinstance(label, str):
+            out.append(f"{agent(a)!r}: hospital label {label!r} is not a str")
     if len(prefs) != size:
         out.append(
             f"category {cm.category}: {size} {side}s but "
@@ -212,6 +215,17 @@ def validate_market(market: Market) -> list[str]:
     return violations
 
 
+def _require_str_labels(category, side: str, hospitals) -> None:
+    """Raise ValueError at the first hospital label that is not a str: the
+    wire format holds only str labels, so load_market would refuse it."""
+    for pos, label in enumerate(hospitals):
+        if not isinstance(label, str):
+            raise ValueError(
+                f"category {category}: {side} hospital label {label!r} "
+                f"at position {pos} is not a str"
+            )
+
+
 def category_from_rankings(
     category: int,
     patient_rankings: list[list[int]],
@@ -236,6 +250,7 @@ def category_from_rankings(
             raise ValueError(
                 f"{len(hospitals)} {side} hospitals for {count} {side} rankings"
             )
+        _require_str_labels(category, side, hospitals)
     return CategoryMarket(
         category,
         tuple(patient_hospitals),
@@ -356,28 +371,54 @@ def generate_random_market(
     return Market(tuple(categories), mode)
 
 
+def _layout(brackets: str, items: list[str], indent: str) -> str:
+    """items, each already JSON text, inside brackets ("[]" or "{}") as
+    json.dumps(indent=2) lays them out at the depth of indent: one item a
+    line, a step deeper; no items give the bare brackets.
+    """
+    if not items:
+        return brackets
+    step = "\n" + indent + "  "
+    return f"{brackets[0]}{step}{(',' + step).join(items)}\n{indent}{brackets[1]}"
+
+
 def store_market(market: Market) -> bytes:
-    """Serialize a market to the canonical JSON document."""
+    """Serialize a market to the canonical JSON document.
+
+    The bytes are those of json.dumps(doc, indent=2) on the document's
+    nested dicts, written directly: each label is quoted once and each
+    array or object is one join, so no document tree is built and the
+    standard library's pure-Python indent encoder never runs.
+    """
     categories = []
     for cm in market.categories:
-        patients, doctors = cm.roster(PATIENT), cm.roster(DOCTOR)
-        categories.append(
-            {
-                "index": cm.category,
-                "patients": [{"id": a.label, "hospital": a.hospital} for a in patients],
-                "doctors": [{"id": a.label, "hospital": a.hospital} for a in doctors],
-                "patient_prefs": {
-                    a.label: [doctors[e].label for e in row]
-                    for a, row in zip(patients, cm.patient_prefs)
-                },
-                "doctor_prefs": {
-                    a.label: [patients[e].label for e in row]
-                    for a, row in zip(doctors, cm.doctor_prefs)
-                },
-            }
-        )
-    doc = {"mode": market.mode, "categories": categories}
-    return json.dumps(doc, indent=2).encode("utf-8")
+        # Each agent's AgentId.label, quoted: ASCII that needs no escape.
+        ids = {
+            side: [f'"{side[0]}{a}"' for a in range(1, len(cm.hospitals(side)) + 1)]
+            for side in SIDES
+        }
+        fields = [f'"index": {json.dumps(cm.category)}']
+        for side in SIDES:
+            hospitals = cm.hospitals(side)
+            _require_str_labels(cm.category, side, hospitals)
+            entries = [
+                _layout("{}", [f'"id": {i}', f'"hospital": {json.dumps(h)}'], " " * 8)
+                for i, h in zip(ids[side], hospitals)
+            ]
+            fields.append(f'"{side}s": ' + _layout("[]", entries, " " * 6))
+        for side in SIDES:
+            targets = ids[opposite(side)]
+            lists = [
+                f"{i}: " + _layout("[]", list(map(targets.__getitem__, row)), " " * 8)
+                for i, row in zip(ids[side], cm.prefs(side))
+            ]
+            fields.append(f'"{side}_prefs": ' + _layout("{}", lists, " " * 6))
+        categories.append(_layout("{}", fields, " " * 4))
+    doc = [
+        f'"mode": {json.dumps(market.mode)}',
+        '"categories": ' + _layout("[]", categories, "  "),
+    ]
+    return _layout("{}", doc, "").encode("utf-8")
 
 
 def _require(doc: dict, key: str, kind, path: str):

@@ -1,6 +1,9 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +234,48 @@ def test_analytics_lemma6(capsys):
 
 def test_analytics_bad_parameters():
     assert main(["analytics", "lemma6", "--n", "8", "--trials", "10", "--p", "1.0"]) == 1
+
+
+# Runs in a fresh interpreter, since this one has already imported numpy.
+# Reports on stderr whether numpy was loaded after the import and after each
+# command; only lemma6's output reaches stdout.
+COLD_START = """
+import contextlib, io, json, sys
+import medmatch, medmatch.cli
+from medmatch.cli import main
+
+loaded = {"import": "numpy" in sys.modules}
+for argv in (
+    ["run", "--config", "config.json", "--out", "results.csv"],
+    ["check", "stability", "--market", "market.json"],
+    ["analytics", "lemma4", "--n", "8", "--trials", "100"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded[argv[0]] = "numpy" in sys.modules
+argv = "analytics lemma6 --n 16 --trials 2000 --p 0.5 --agents 3 --seed 4".split()
+assert main(argv) == 0
+loaded["lemma6"] = "numpy" in sys.modules
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+def test_only_lemma6_loads_numpy(tmp_path, config_file, market_file):
+    os.replace(config_file, tmp_path / "config.json")
+    os.replace(market_file, tmp_path / "market.json")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr) == {
+        "import": False, "run": False, "check": False, "analytics": False, "lemma6": True
+    }
+    # The line lemma6 printed while numpy was imported with the package.
+    assert done.stdout == "mean 6.0510 +/- 0.0317 (2000 trials); agents/(1-p) = 6.0000\n"
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

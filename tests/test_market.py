@@ -106,6 +106,31 @@ def test_hospital_list_must_fit_its_rankings(build, side, count):
         build(*args, **{f"{side}_hospitals": hospitals})
 
 
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+@pytest.mark.parametrize("label", [1, None, b"h1"], ids=repr)
+def test_builders_refuse_a_hospital_label_that_is_not_a_str(side, label):
+    hospitals = ["x0", "x1", label, "x3"]
+    message = f"^category 0: {side} hospital label {label!r} at position 2 is not a str$"
+    with pytest.raises(ValueError, match=message):
+        market_from_rankings(
+            REF_PATIENT_RANKINGS, REF_DOCTOR_RANKINGS, **{f"{side}_hospitals": hospitals}
+        )
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+def test_a_hospital_label_that_is_not_a_str_is_reported_and_never_stored(ref_category, side):
+    # A category built by hand can still hold one; load_market would
+    # refuse any document holding it.
+    labels = (1,) + ref_category.hospitals(side)[1:]
+    cm = dataclasses.replace(ref_category, **{f"{side}_hospitals": labels})
+    market = Market((cm,))
+    assert validate_market(market) == [
+        f"{AgentId(side, 0, 0)!r}: hospital label 1 is not a str"
+    ]
+    with pytest.raises(ValueError, match=f"^category 0: {side} hospital label 1 at position 0"):
+        store_market(market)
+
+
 def agent_ids_in(value):
     """How many AgentIds value holds, through nested tuples and lists."""
     if isinstance(value, AgentId):
@@ -182,6 +207,9 @@ def reference_violations(market):
         for side in (PATIENT, DOCTOR):
             roster, prefs = cm.roster(side), cm.prefs(side)
             counterparts = cm.roster(opposite(side))
+            for agent in roster:
+                if not isinstance(agent.hospital, str):
+                    out.append(f"{agent!r}: hospital label {agent.hospital!r} is not a str")
             if len(prefs) != len(roster):
                 out.append(
                     f"category {cm.category}: {len(roster)} {side}s but "
@@ -211,14 +239,14 @@ def reference_violations(market):
 
 
 def mutate_category(cm, rng):
-    """cm with one random defect, or none, in an index, a roster length or
-    a preference list."""
+    """cm with one random defect, or none, in an index, a roster length, a
+    hospital label or a preference list."""
     side = rng.choice((PATIENT, DOCTOR))
     prefs = list(cm.prefs(side))
     width = len(cm.hospitals(opposite(side)))
     kind = rng.choice(
         ("none", "row type", "entry", "duplicate", "short", "roster length",
-         "category index", "row count")
+         "hospital label", "category index", "row count")
     )
     if kind == "category index":
         index = rng.choice((True, 1.0, float("nan"), -1, cm.category + 1))
@@ -228,6 +256,10 @@ def mutate_category(cm, rng):
         labels = cm.hospitals(side)
         labels = labels + ("x",) if not labels or rng.random() < 0.5 else labels[:-1]
         return dataclasses.replace(cm, **{f"{side}_hospitals": labels})
+    if kind == "hospital label" and cm.hospitals(side):
+        labels = list(cm.hospitals(side))
+        labels[rng.randrange(len(labels))] = rng.choice((1, None, 1.5, True, b"h1"))
+        return dataclasses.replace(cm, **{f"{side}_hospitals": tuple(labels)})
     if kind == "row count" and prefs:
         prefs.pop()
     elif prefs and kind != "none":
@@ -452,6 +484,74 @@ def test_round_trip_reference(ref_market):
     assert load_market(blob) == ref_market
     # Serialization itself is deterministic.
     assert store_market(load_market(blob)) == blob
+
+
+def reference_store_market(market):
+    """store_market as json.dumps(indent=2) on the document's nested dicts:
+    the reference for its bytes."""
+    categories = []
+    for cm in market.categories:
+        patients, doctors = cm.roster(PATIENT), cm.roster(DOCTOR)
+        categories.append(
+            {
+                "index": cm.category,
+                "patients": [{"id": a.label, "hospital": a.hospital} for a in patients],
+                "doctors": [{"id": a.label, "hospital": a.hospital} for a in doctors],
+                "patient_prefs": {
+                    a.label: [doctors[e].label for e in row]
+                    for a, row in zip(patients, cm.patient_prefs)
+                },
+                "doctor_prefs": {
+                    a.label: [patients[e].label for e in row]
+                    for a, row in zip(doctors, cm.doctor_prefs)
+                },
+            }
+        )
+    doc = {"mode": market.mode, "categories": categories}
+    return json.dumps(doc, indent=2).encode("utf-8")
+
+
+# Labels json.dumps escapes in every way it can: empty, non-ASCII, quotes,
+# backslashes, control characters and a lone surrogate.
+ODD_LABELS = ("", "h1", "Zürich", "病院", "\U0001f3e5", 'a"b', "back\\slash",
+              "tab\tnew\nline", "\x00\x1f\x7f", "\ud800", "</script>")
+
+
+def random_lists(rng, size, width, shape):
+    """size random lists over range(width): full, of random lengths or empty."""
+    if shape == "empty":
+        return [[] for _ in range(size)]
+    lengths = [width if shape == "full" else rng.randint(0, width) for _ in range(size)]
+    return [rng.sample(range(width), length) for length in lengths]
+
+
+def test_store_market_writes_the_bytes_of_json_dumps():
+    rng = random.Random("store-reference")
+    shapes = {"full": 0, "partial": 0, "empty": 0}
+    for seed in range(600):
+        categories = []
+        shape = ("full", "partial", "empty")[seed % 3]
+        for c in range(seed % 4):
+            n, m = rng.randint(0, 6), rng.randint(0, 6)
+            categories.append(
+                category_from_rankings(
+                    c,
+                    random_lists(rng, n, m, shape),
+                    random_lists(rng, m, n, shape),
+                    [rng.choice(ODD_LABELS) for _ in range(n)],
+                    [rng.choice(ODD_LABELS) for _ in range(m)],
+                )
+            )
+            shapes[shape] += 1
+        mode = FULL if shape == "full" else PARTIAL
+        market = Market(tuple(categories), mode)
+        assert store_market(market) == reference_store_market(market), seed
+    assert min(shapes.values()) >= 250, shapes
+
+
+def test_store_market_writes_the_bytes_of_json_dumps_at_scale():
+    market = generate_random_market(1, 256, 256, list_length=32, seed=5)
+    assert store_market(market) == reference_store_market(market)
 
 
 def test_load_missing_pref_list_names_agent(ref_market):
