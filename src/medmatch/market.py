@@ -390,6 +390,8 @@ def store_market(market: Market) -> bytes:
     array or object is one join, so no document tree is built and the
     standard library's pure-Python indent encoder never runs.
     """
+    if market.mode not in MODES:
+        raise ValueError(f"unknown mode {market.mode!r}: must be one of {MODES}")
     categories = []
     for cm in market.categories:
         # Each agent's AgentId.label, quoted: ASCII that needs no escape.
@@ -408,6 +410,14 @@ def store_market(market: Market) -> bytes:
             fields.append(f'"{side}s": ' + _layout("[]", entries, " " * 6))
         for side in SIDES:
             targets = ids[opposite(side)]
+            # A negative entry would index another agent's id.
+            for a, row in enumerate(cm.prefs(side)):
+                if row and not 0 <= min(row) <= max(row) < len(targets):
+                    entry = next(e for e in row if not 0 <= e < len(targets))
+                    raise ValueError(
+                        f"category {cm.category}: {side} list at position {a} holds "
+                        f"entry {entry!r}, which is not on the {opposite(side)} roster"
+                    )
             lists = [
                 f"{i}: " + _layout("[]", list(map(targets.__getitem__, row)), " " * 8)
                 for i, row in zip(ids[side], cm.prefs(side))
@@ -435,13 +445,13 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
-def _load_roster(entries, path: str) -> tuple[tuple[str, ...], dict[str, int]]:
+def _load_roster(doc: dict, key: str, path: str) -> tuple[tuple[str, ...], dict[str, int]]:
     """The roster's hospital labels and each agent's id mapped to its
     ordinal, in roster order."""
     hospitals = []
     ordinals = {}
-    for pos, entry in enumerate(entries):
-        epath = f"{path}[{pos}]"
+    for pos, entry in enumerate(_require(doc, key, list, path)):
+        epath = f"{path}.{key}[{pos}]"
         ident = _require(entry, "id", str, epath)
         hospital = entry.get("hospital", "")
         if not isinstance(hospital, str):
@@ -458,6 +468,7 @@ def _load_prefs(
     key: str,
     owners: dict[str, int],
     targets: dict[str, int],
+    full: bool,
     path: str,
 ) -> tuple[tuple[int, ...], ...]:
     """Each owner's list, in roster order, as target roster ordinals."""
@@ -472,12 +483,20 @@ def _load_prefs(
         if not isinstance(ranking, list):
             raise MarketFormatError("preference list must be an array", ppath)
         try:
-            prefs.append(tuple(map(resolve, ranking)))
+            row = tuple(map(resolve, ranking))
         except (KeyError, TypeError):
             # Not every entry is a known id (an unhashable one raises
             # TypeError): name the first that is not.
             bad = next(e for e in ranking if not isinstance(e, str) or e not in targets)
             raise MarketFormatError(f"unknown agent id {bad!r}", ppath) from None
+        if len(set(row)) < len(row):
+            seen = set()
+            repeat = next(e for e in ranking if e in seen or seen.add(e))
+            raise MarketFormatError(f"duplicate agent id {repeat!r}", ppath)
+        if full and len(row) < len(targets):
+            msg = f"list covers {len(row)} of {len(targets)} counterparts in full-preference mode"
+            raise MarketFormatError(msg, ppath)
+        prefs.append(row)
     # Every owner has a list, so any further key names no agent.
     if len(table) > len(owners):
         stray = next(ident for ident in table if ident not in owners)
@@ -486,7 +505,8 @@ def _load_prefs(
 
 
 def load_market(data: bytes | str) -> Market:
-    """Parse the canonical JSON document; unknown extra fields are ignored."""
+    """Parse the canonical JSON document; unknown extra fields are ignored.
+    The first fault is refused where it is read, at its JSON path."""
     try:
         doc = json.loads(data)
     except RecursionError:
@@ -502,41 +522,19 @@ def load_market(data: bytes | str) -> Market:
         raise MarketFormatError(f"mode must be one of {MODES}", "$.mode")
     raw_categories = _require(doc, "categories", list, "$")
     categories = []
+    full = mode == FULL
     for pos, raw in enumerate(raw_categories):
         path = f"$.categories[{pos}]"
         index = _require(raw, "index", int, path)
-        p_entries = _require(raw, "patients", list, path)
-        d_entries = _require(raw, "doctors", list, path)
+        if index != pos:
+            msg = f"category index {index} at position {pos}: indices must be contiguous from 0"
+            raise MarketFormatError(msg, f"{path}.index")
         # Each id maps to one int object, so equal entries share it.
-        p_hospitals, p_ordinals = _load_roster(p_entries, f"{path}.patients")
-        d_hospitals, d_ordinals = _load_roster(d_entries, f"{path}.doctors")
-        patient_prefs = _load_prefs(raw, "patient_prefs", p_ordinals, d_ordinals, path)
-        doctor_prefs = _load_prefs(raw, "doctor_prefs", d_ordinals, p_ordinals, path)
+        p_hospitals, p_ordinals = _load_roster(raw, "patients", path)
+        d_hospitals, d_ordinals = _load_roster(raw, "doctors", path)
+        patient_prefs = _load_prefs(raw, "patient_prefs", p_ordinals, d_ordinals, full, path)
+        doctor_prefs = _load_prefs(raw, "doctor_prefs", d_ordinals, p_ordinals, full, path)
         categories.append(
             CategoryMarket(index, p_hospitals, d_hospitals, patient_prefs, doctor_prefs)
         )
-    market = Market(tuple(categories), mode)
-    if not _resolved_market_holds(market):
-        raise MarketFormatError("; ".join(validate_market(market)), "$")
-    return market
-
-
-def _resolved_market_holds(market: Market) -> bool:
-    """Whether a market load_market has resolved passes validate_market.
-
-    Resolving ids proves the rest: each category index is an int and each
-    side has one tuple of in-range int ordinals per agent. Left to check
-    are the category indices' order, duplicate entries and, in full mode,
-    the list lengths. When one fails, validate_market words the violations.
-    """
-    for pos, cm in enumerate(market.categories):
-        if cm.category != pos:
-            return False
-        for side in SIDES:
-            prefs = cm.prefs(side)
-            lengths = list(map(len, prefs))
-            if list(map(len, map(set, prefs))) != lengths:
-                return False
-            if market.mode == FULL and set(lengths) - {len(cm.hospitals(opposite(side)))}:
-                return False
-    return True
+    return Market(tuple(categories), mode)

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import random
+import re
 import weakref
 
 import pytest
@@ -23,13 +24,13 @@ from medmatch import (
     tomhecs,
     validate_market,
 )
-from medmatch import market as market_module
 from medmatch.market import (
     DOCTOR,
     FULL,
     MODES,
     PARTIAL,
     PATIENT,
+    SIDES,
     AgentId,
     CategoryMarket,
     _RankTables,
@@ -128,6 +129,30 @@ def test_a_hospital_label_that_is_not_a_str_is_reported_and_never_stored(ref_cat
         f"{AgentId(side, 0, 0)!r}: hospital label 1 is not a str"
     ]
     with pytest.raises(ValueError, match=f"^category 0: {side} hospital label 1 at position 0"):
+        store_market(market)
+
+
+def test_store_market_refuses_an_unknown_mode():
+    # load_market would refuse the document it wrote.
+    with pytest.raises(ValueError, match="^unknown mode 'weird'"):
+        store_market(Market((), "weird"))
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+@pytest.mark.parametrize("entry", [-1, -2, 2, 7])
+def test_store_market_refuses_an_entry_off_the_opposite_roster(side, entry):
+    # A negative entry would be written as another agent's id and load back
+    # as a valid list; one past the roster has no id at all.
+    lists = {PATIENT: ((0, 1), (1, 0)), DOCTOR: ((0, 1), (1, 0))}
+    lists[side] = ((0, 1), (1, entry))
+    cm = CategoryMarket(0, ("h1", "h2"), ("H1", "H2"), lists[PATIENT], lists[DOCTOR])
+    market = Market((cm,), PARTIAL)
+    assert validate_market(market) == [
+        f"{AgentId(side, 0, 1)!r}: entry {entry} is not on the opposite roster"
+    ]
+    message = (f"^category 0: {side} list at position 1 holds entry {entry}, "
+               f"which is not on the {opposite(side)} roster$")
+    with pytest.raises(ValueError, match=message):
         store_market(market)
 
 
@@ -758,26 +783,53 @@ def test_load_refuses_mutated_trees_only_with_market_format_error(which, edits):
         pass
 
 
-def resolve_then_validate(text, monkeypatch):
-    """The reference for load_market: resolve the ids, then run the full
-    validate_market on every market."""
-    monkeypatch.setattr(market_module, "_resolved_market_holds", lambda market: True)
-    try:
-        loaded = load_market(text)
-    finally:
-        monkeypatch.undo()
-    violations = validate_market(loaded)
-    if violations:
-        raise MarketFormatError("; ".join(violations), "$")
-    return loaded
+def resolve(doc):
+    """The reference reading of a document whose ids all resolve: each list
+    with its ids mapped to roster ordinals, and nothing checked."""
+    categories = []
+    for raw in doc["categories"]:
+        ordinals = {side: {e["id"]: a for a, e in enumerate(raw[f"{side}s"])} for side in SIDES}
+        hospitals = {side: tuple(e["hospital"] for e in raw[f"{side}s"]) for side in SIDES}
+        prefs = {
+            side: tuple(
+                tuple(ordinals[opposite(side)][e] for e in raw[f"{side}_prefs"][ident])
+                for ident in ordinals[side]
+            )
+            for side in SIDES
+        }
+        categories.append(
+            CategoryMarket(raw["index"], hospitals[PATIENT], hospitals[DOCTOR],
+                           prefs[PATIENT], prefs[DOCTOR])
+        )
+    return Market(tuple(categories), doc["mode"])
 
 
-def load_outcome(load, *args):
-    """The loaded market, or the message it was refused with."""
-    try:
-        return load(*args)
-    except MarketFormatError as exc:
-        return str(exc)
+def first_fault(doc, market):
+    """The path and message of validate_market's first violation of the
+    resolved market, taken category by category, with agents named by the
+    document's ids; None when validate_market reports none."""
+    for pos, cm in enumerate(market.categories):
+        # Valid empty categories before it keep its index check at pos.
+        padding = tuple(CategoryMarket(c, (), (), (), ()) for c in range(pos))
+        violations = validate_market(Market(padding + (cm,), market.mode))
+        if violations:
+            break
+    else:
+        return None
+    path, first = f"$.categories[{pos}]", violations[0]
+    if first.startswith("category index"):
+        return f"{path}.index", first
+    owner, message = re.fullmatch(r"<([pd]\d+)@c-?\d+>: (.*)", first).groups()
+
+    def doc_id(label):
+        side = PATIENT if label[0] == "p" else DOCTOR
+        return side, doc["categories"][pos][f"{side}s"][int(label[1:]) - 1]["id"]
+
+    side, ident = doc_id(owner)
+    repeat = re.fullmatch(r"duplicate entry <([pd]\d+)@c-?\d+>", message)
+    if repeat:
+        message = f"duplicate agent id {doc_id(repeat[1])[1]!r}"
+    return f"{path}.{side}_prefs.{ident}", message
 
 
 def mutate_resolvable(doc, rng):
@@ -806,23 +858,77 @@ def mutate_resolvable(doc, rng):
             del row[i]
 
 
-def test_load_checks_what_resolving_leaves_as_validate_market_does(monkeypatch):
+def test_load_checks_what_resolving_leaves_as_validate_market_does():
+    # load_market refuses at the first fault it reads, so it is compared
+    # with validate_market's verdict and first violation, not its whole
+    # message list.
     rng = random.Random("resolved-checks")
     seeds = TREE_SEEDS + (json.loads(store_market(generate_random_market(3, 4, 3, seed=9))),)
-    outcomes = []
+    refusals = []
     for trial in range(600):
         doc = json.loads(json.dumps(seeds[trial % len(seeds)]))
         for _ in range(rng.randint(1, 3)):
             mutate_resolvable(doc, rng)
         text = json.dumps(doc)
-        outcome = load_outcome(load_market, text)
-        assert outcome == load_outcome(resolve_then_validate, text, monkeypatch), (trial, doc)
-        outcomes.append(outcome)
-    messages = [o for o in outcomes if isinstance(o, str)]
-    assert len(messages) >= 200 and len(outcomes) - len(messages) >= 100
-    for violation in ("duplicate entry", "counterparts in full-preference mode",
+        reference = resolve(json.loads(text))
+        fault = first_fault(doc, reference)
+        assert (fault is None) == (validate_market(reference) == []), (trial, doc)
+        try:
+            loaded = load_market(text)
+        except MarketFormatError as exc:
+            assert fault is not None, (trial, doc)
+            path, message = fault
+            assert (exc.path, str(exc)) == (path, f"{path}: {message}"), (trial, doc)
+            refusals.append(message)
+        else:
+            assert fault is None and loaded == reference, (trial, doc)
+    assert len(refusals) >= 200 and 600 - len(refusals) >= 100
+    for violation in ("duplicate agent id", "counterparts in full-preference mode",
                       "indices must be contiguous"):
-        assert sum(violation in m for m in messages) >= 50, violation
+        assert sum(violation in m for m in refusals) >= 50, violation
+
+
+# Patient ids that are doctor labels and doctor ids that are patient labels.
+COLLIDING_IDS = {
+    "mode": FULL,
+    "categories": [
+        {
+            "index": 0,
+            "patients": [{"id": "d1", "hospital": "h1"}, {"id": "zed", "hospital": "h2"}],
+            "doctors": [{"id": "p1", "hospital": "H1"}, {"id": "p2", "hospital": "H2"}],
+            "patient_prefs": {"d1": ["p2", "p1"], "zed": ["p1", "p2"]},
+            "doctor_prefs": {"p1": ["zed", "d1"], "p2": ["d1", "zed"]},
+        }
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [
+        (("patient_prefs", "d1", ["p1", "p1"]), "patient_prefs.d1", "duplicate agent id 'p1'"),
+        (("doctor_prefs", "p2", ["zed", "d1", "zed"]), "doctor_prefs.p2",
+         "duplicate agent id 'zed'"),
+        (("patient_prefs", "zed", ["p2"]), "patient_prefs.zed",
+         "list covers 1 of 2 counterparts in full-preference mode"),
+        (("index", None, 1), "index",
+         "category index 1 at position 0: indices must be contiguous from 0"),
+    ],
+    ids=["repeat", "repeat-doctor", "short", "index"],
+)
+def test_load_refusals_name_the_documents_own_ids(edit, path, message):
+    doc = json.loads(json.dumps(COLLIDING_IDS))
+    category = doc["categories"][0]
+    key, ident, value = edit
+    if ident is None:
+        category[key] = value
+    else:
+        category[key][ident] = value
+    assert resolve(COLLIDING_IDS) == load_market(json.dumps(COLLIDING_IDS))
+    with pytest.raises(MarketFormatError) as err:
+        load_market(json.dumps(doc))
+    assert err.value.path == f"$.categories[0].{path}"
+    assert str(err.value) == f"{err.value.path}: {message}"
 
 
 def uses_pool_branch(n, k):
