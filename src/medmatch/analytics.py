@@ -119,8 +119,7 @@ def estimate_total_distance(
         # constrain the mechanism, which continues the same RNG stream.
         cm = category_from_rankings(0, prefs, [doctors] * n)
         pairs, _ = ramhecs_category(cm, rng)
-        ranks = cm.ranks[PATIENT]
-        samples.append(sum(ranks[p][d] for p, d in pairs))
+        samples.append(sum(prefs[p].index(d) for p, d in pairs))
     return _summarize(samples, {"n": n, "model": model})
 
 

@@ -109,6 +109,15 @@ class CategoryMarket:
         table is built on its first lookup and cached on this category
         object. A copy made by with_prefs shares the unchanged side's table;
         tables are never mutated.
+
+        A table is read only to compare two counterparts on one agent's
+        list or to test whether a counterpart is listed: by the receivers
+        in tomhecs_category and oracle._gale_shapley, by ramhecs_category's
+        partial-list branch, and by the doctors in the blocking scan and
+        the stable-matching enumerator. An agent's rank of its own partner
+        is the partner's position on its list (metrics.partner_ranks), read
+        without a table, so a patient-proposing run builds only the
+        doctors' table.
         """
         return _RankTables(
             {side: (self.prefs(side), len(self.hospitals(opposite(side)))) for side in SIDES}
@@ -389,11 +398,24 @@ def store_market(market: Market) -> bytes:
     nested dicts, written directly: each label is quoted once and each
     array or object is one join, so no document tree is built and the
     standard library's pure-Python indent encoder never runs.
+
+    Raises ValueError for a market that load_market would refuse once
+    written: an unknown mode, a category index other than its position, a
+    side with more or fewer lists than labels, a non-str hospital label,
+    and a list that holds an entry off the opposite roster, repeats an
+    entry or, in full mode, is shorter than the opposite roster.
     """
     if market.mode not in MODES:
         raise ValueError(f"unknown mode {market.mode!r}: must be one of {MODES}")
+    full = market.mode == FULL
     categories = []
-    for cm in market.categories:
+    for pos, cm in enumerate(market.categories):
+        # bool and float indices equal to pos are still not indices.
+        if type(cm.category) is not int or cm.category != pos:
+            raise ValueError(
+                f"category index {cm.category!r} at position {pos}: "
+                "indices must be contiguous from 0"
+            )
         # Each agent's AgentId.label, quoted: ASCII that needs no escape.
         ids = {
             side: [f'"{side[0]}{a}"' for a in range(1, len(cm.hospitals(side)) + 1)]
@@ -410,17 +432,30 @@ def store_market(market: Market) -> bytes:
             fields.append(f'"{side}s": ' + _layout("[]", entries, " " * 6))
         for side in SIDES:
             targets = ids[opposite(side)]
-            # A negative entry would index another agent's id.
-            for a, row in enumerate(cm.prefs(side)):
-                if row and not 0 <= min(row) <= max(row) < len(targets):
-                    entry = next(e for e in row if not 0 <= e < len(targets))
-                    raise ValueError(
-                        f"category {cm.category}: {side} list at position {a} holds "
-                        f"entry {entry!r}, which is not on the {opposite(side)} roster"
-                    )
+            width = len(targets)
+            prefs = cm.prefs(side)
+            # zip below would drop a missing list or an extra one.
+            if len(prefs) != len(ids[side]):
+                raise ValueError(
+                    f"category {cm.category}: {len(ids[side])} {side}s but "
+                    f"{len(prefs)} preference lists"
+                )
+            for a, row in enumerate(prefs):
+                # A negative entry would index another agent's id.
+                if row and not 0 <= min(row) <= max(row) < width:
+                    entry = next(e for e in row if not 0 <= e < width)
+                    fault = f"holds entry {entry!r}, which is not on the {opposite(side)} roster"
+                elif len(set(row)) < len(row):
+                    seen = set()
+                    fault = f"repeats entry {next(e for e in row if e in seen or seen.add(e))!r}"
+                elif full and len(row) < width:
+                    fault = f"covers {len(row)} of {width} counterparts in full-preference mode"
+                else:
+                    continue
+                raise ValueError(f"category {cm.category}: {side} list at position {a} {fault}")
             lists = [
                 f"{i}: " + _layout("[]", list(map(targets.__getitem__, row)), " " * 8)
-                for i, row in zip(ids[side], cm.prefs(side))
+                for i, row in zip(ids[side], prefs)
             ]
             fields.append(f'"{side}_prefs": ' + _layout("{}", lists, " " * 6))
         categories.append(_layout("{}", fields, " " * 4))

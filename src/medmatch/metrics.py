@@ -16,24 +16,27 @@ def partner_ranks(
 ) -> list[int]:
     """Each `side` agent's 0-based rank of its partner on its own list.
 
-    partners is Matching.partners(cm). Being unmatched scores the list
+    partners is Matching.partners(cm). A rank is the partner's position on
+    the list, so no rank table is built. Being unmatched scores the list
     length: one worse than the last choice. Raises ValueError for a partner
     the agent does not list.
     """
-    scores = []
-    for agent, (partner, row, ranks) in enumerate(
-        zip(partners[side], cm.prefs(side), cm.ranks[side])
-    ):
-        if partner is None:
-            scores.append(len(row))
-        elif ranks[partner] is None:
-            counterpart = cm.roster(opposite(side))[partner]
-            raise ValueError(
-                f"{cm.roster(side)[agent]!r} matched to {counterpart!r} absent from its list"
-            )
-        else:
-            scores.append(ranks[partner])
-    return scores
+    lists = cm.prefs(side)
+    try:
+        return [
+            len(row) if partner is None else row.index(partner)
+            for partner, row in zip(partners[side], lists)
+        ]
+    except ValueError:
+        agent, partner = next(
+            (a, partner)
+            for a, (partner, row) in enumerate(zip(partners[side], lists))
+            if partner is not None and partner not in row
+        )
+        counterpart = cm.roster(opposite(side))[partner]
+        raise ValueError(
+            f"{cm.roster(side)[agent]!r} matched to {counterpart!r} absent from its list"
+        ) from None
 
 
 def eta_zeta(

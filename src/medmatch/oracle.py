@@ -129,7 +129,6 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
             f"instance too large: max roster {max(n, m)} > {ENUMERATION_LIMIT}"
         )
     patient_prefs = cm.patient_prefs
-    patient_ranks = cm.ranks[PATIENT]
     doctor_ranks = cm.ranks[DOCTOR]
     top, bottom = (
         [-1 if d is None else d for d in _gale_shapley(cm, side)[PATIENT]]
@@ -150,7 +149,8 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
         for p, d in enumerate(assignment):
             if d == -1 or d == bottom[p]:
                 continue
-            for e in patient_prefs[p][patient_ranks[p][d] + 1 :]:
+            row = patient_prefs[p]
+            for e in row[row.index(d) + 1 :]:
                 q = holder[e]
                 rank = doctor_ranks[e][p]
                 if q is not None and rank is not None and rank < doctor_ranks[e][q]:
@@ -203,7 +203,8 @@ def check_truthfulness_exhaustive(
 
     A misreport runs tomhecs_category on the proposers' lists with one
     list swapped, against cm's true receiver table; only the misreporting
-    proposer's partner is read from the result.
+    proposer's partner is read from the result, and scored by its position
+    on the proposer's true list. The receivers' table is the only one built.
 
     Deferred acceptance reads a proposer's list strictly in order and never
     past its final partner, the last entry it proposed to (McVitie & Wilson
@@ -217,7 +218,11 @@ def check_truthfulness_exhaustive(
     width = len(cm.hospitals(opposite(proposing_side)))
     if width > MISREPORT_LIMIT:
         raise CheckRefused(f"instance too large: opposite roster {width} > {MISREPORT_LIMIT}")
-    if any(None in ranks for side in SIDES for ranks in cm.ranks[side]):
+    if any(
+        len(row) != len(cm.hospitals(opposite(side)))
+        for side in SIDES
+        for row in cm.prefs(side)
+    ):
         raise CheckRefused("misreport sweep requires full preference lists")
     counterparts = cm.roster(opposite(proposing_side))
     proposers = cm.roster(proposing_side)
@@ -234,13 +239,11 @@ def check_truthfulness_exhaustive(
 
     truthful, _ = tomhecs_category(cm, proposing_side)
     reports = []
-    for idx, (agent, row, own_ranks) in enumerate(
-        zip(proposers, prefs, cm.ranks[proposing_side])
-    ):
+    for idx, (agent, row) in enumerate(zip(proposers, prefs)):
         partner = partner_of(truthful, idx)
         truthful_partner = None if partner is None else counterparts[partner]
         # Scored on the TRUE list; being unmatched scores the list length.
-        truthful_score = len(row) if partner is None else own_ranks[partner]
+        truthful_score = len(row) if partner is None else row.index(partner)
         before, after = prefs[:idx], prefs[idx + 1 :]
         violations = []
         tried = 0
@@ -253,7 +256,7 @@ def check_truthfulness_exhaustive(
                 pairs, _ = tomhecs_category(cm, proposing_side, prefs=before + (perm,) + after)
                 new_partner = partner_of(pairs, idx)
                 read = perm if new_partner is None else perm[: perm.index(new_partner) + 1]
-            if new_partner is not None and own_ranks[new_partner] < truthful_score:
+            if new_partner is not None and row.index(new_partner) < truthful_score:
                 misreport = tuple(counterparts[e] for e in perm)
                 violations.append((misreport, truthful_partner, counterparts[new_partner]))
         reports.append(TruthfulnessReport(agent, tried, violations))

@@ -38,6 +38,8 @@ from medmatch.market import (
     _sampler,
     opposite,
 )
+from medmatch.cli import main
+from medmatch.harness import ExperimentConfig, run_experiment
 from medmatch.mechanisms import RAMHECS, TOMHECS, run_categories
 from medmatch.metrics import eta_zeta
 from medmatch.oracle import check_truthfulness_exhaustive
@@ -154,6 +156,70 @@ def test_store_market_refuses_an_entry_off_the_opposite_roster(side, entry):
                f"which is not on the {opposite(side)} roster$")
     with pytest.raises(ValueError, match=message):
         store_market(market)
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+@pytest.mark.parametrize("mode", MODES)
+def test_store_market_refuses_a_repeated_entry(side, mode):
+    # Written, the list would reload as "duplicate agent id".
+    lists = {PATIENT: ((0, 1), (1, 0)), DOCTOR: ((0, 1), (1, 0))}
+    lists[side] = ((0, 1), (1, 1))
+    cm = CategoryMarket(0, ("h1", "h2"), ("H1", "H2"), lists[PATIENT], lists[DOCTOR])
+    market = Market((cm,), mode)
+    # In full mode the list also covers too few counterparts; the repeat
+    # is reported first.
+    assert validate_market(market)[0] == (
+        f"{AgentId(side, 0, 1)!r}: duplicate entry {AgentId(opposite(side), 0, 1)!r}"
+    )
+    message = f"^category 0: {side} list at position 1 repeats entry 1$"
+    with pytest.raises(ValueError, match=message):
+        store_market(market)
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+@pytest.mark.parametrize("count", [1, 3])
+def test_store_market_refuses_a_side_with_more_or_fewer_lists_than_labels(side, count):
+    # Lists are written keyed by their agents' ids: a missing list would
+    # reload as "missing preference list", and an extra one would be dropped.
+    lists = {PATIENT: ((0, 1), (1, 0)), DOCTOR: ((0, 1), (1, 0))}
+    lists[side] = ((0, 1), (1, 0), (0, 1))[:count]
+    cm = CategoryMarket(0, ("h1", "h2"), ("H1", "H2"), lists[PATIENT], lists[DOCTOR])
+    market = Market((cm,), PARTIAL)
+    assert validate_market(market) == [f"category 0: 2 {side}s but {count} preference lists"]
+    with pytest.raises(ValueError, match=f"^category 0: 2 {side}s but {count} preference lists$"):
+        store_market(market)
+
+
+@pytest.mark.parametrize("index", [1, -1, True, 0.0])
+def test_store_market_refuses_a_category_index_other_than_its_position(index):
+    # 1 would reload as out of place, true and 0.0 as not an integer.
+    cm = dataclasses.replace(market_from_rankings([[0]], [[0]]).categories[0], category=index)
+    market = Market((cm,))
+    assert validate_market(market) == [
+        f"category index {index} at position 0: indices must be contiguous from 0"
+    ]
+    message = f"category index {index!r} at position 0: indices must be contiguous from 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        store_market(market)
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+def test_store_market_refuses_a_short_list_in_full_mode(side):
+    # Written, the list would reload as not covering the opposite roster;
+    # the same lists are written in partial mode.
+    lists = {PATIENT: ((0, 1), (1, 0)), DOCTOR: ((0, 1), (1, 0))}
+    lists[side] = ((0, 1), (1,))
+    cm = CategoryMarket(0, ("h1", "h2"), ("H1", "H2"), lists[PATIENT], lists[DOCTOR])
+    market = Market((cm,), FULL)
+    assert validate_market(market) == [
+        f"{AgentId(side, 0, 1)!r}: list covers 1 of 2 counterparts in full-preference mode"
+    ]
+    message = (f"^category 0: {side} list at position 1 covers 1 of 2 counterparts "
+               "in full-preference mode$")
+    with pytest.raises(ValueError, match=message):
+        store_market(market)
+    partial = Market((cm,), PARTIAL)
+    assert load_market(store_market(partial)) == partial
 
 
 def agent_ids_in(value):
@@ -463,11 +529,48 @@ def test_truthfulness_sweep_shares_the_true_receiver_tables(monkeypatch, proposi
     reports = check_truthfulness_exhaustive(cm, proposing_side)
     monkeypatch.undo()
     assert sum(r.misreports_tried for r in reports) == 4 * 23
-    # Every misreport ran on the category itself: the only tables built are
-    # its own two, once each.
-    assert sorted(side for _, side in built) == [DOCTOR, PATIENT]
+    # Every misreport ran on the category itself, and every score is a
+    # position on a proposer's list: the only table built is the receivers',
+    # once.
+    assert [side for _, side in built] == [opposite(proposing_side)]
     assert all(tables is cm.ranks for tables, _ in built)
     assert reports == reference_truthfulness_sweep(fresh, proposing_side)
+
+
+@pytest.mark.parametrize("list_length", [None, 3])
+def test_patient_proposing_paths_build_no_patient_table(monkeypatch, tmp_path, list_length):
+    # Scoring reads each agent's partner position from its own list, so a
+    # patient-proposing run and stability check build the doctors' tables
+    # only: one per category, shared by every perturbed copy.
+    config = ExperimentConfig(
+        k=1,
+        n_patients=8,
+        n_doctors=8,
+        mode=FULL if list_length is None else PARTIAL,
+        list_length=list_length,
+        mechanisms=(RAMHECS, TOMHECS),
+        proposing_side=PATIENT,
+        measured_sides=(PATIENT, DOCTOR),
+        presets=("none", "large"),
+        repetitions=3,
+        seed=4,
+    )
+    path = tmp_path / "market.json"
+    path.write_bytes(store_market(generate_random_market(2, 8, 8, list_length, seed=4)))
+    built = []
+    build = _RankTables.__missing__
+
+    def spy(tables, side):
+        built.append(side)
+        return build(tables, side)
+
+    monkeypatch.setattr(_RankTables, "__missing__", spy)
+    result = run_experiment(config)
+    assert len(result.rows) == 2 * 2 * 2 * config.repetitions
+    assert built == [DOCTOR] * config.repetitions
+    built.clear()
+    assert main(["check", "stability", "--market", str(path), "--side", PATIENT]) == 0
+    assert built == [DOCTOR, DOCTOR]
 
 
 def test_category_and_rank_tables_form_no_cycle():

@@ -16,6 +16,7 @@ from medmatch import (
     tomhecs,
 )
 from medmatch.market import DOCTOR, PATIENT, opposite
+from medmatch.metrics import partner_ranks
 
 
 def test_reference_market_eta(ref_market):
@@ -226,4 +227,33 @@ def test_eta_zeta_matches_a_brute_force_scorer():
                     assert eta_zeta(cm, matching.partners(cm), side) == (
                         reference_eta_zeta(cm, matching, side)
                     ), (seed, cm.category, side)
+    assert all(seen.values()), seen
+
+
+def test_partner_ranks_equal_the_rank_table_lookup():
+    # partner_ranks reads a partner's position on the agent's list; the rank
+    # table holds the same position, and unmatched agents score the list
+    # length either way.
+    seen = {"full": 0, "partial": 0, "unequal rosters": 0, "unmatched": 0}
+    for seed in range(500):
+        market = random_market(seed)
+        matchings = (
+            ramhecs(market, seed=seed)[0],
+            tomhecs(market, PATIENT)[0],
+            tomhecs(market, DOCTOR)[0],
+        )
+        for cm in market.categories:
+            seen[market.mode] += 1
+            seen["unequal rosters"] += len(cm.patient_hospitals) != len(cm.doctor_hospitals)
+            for matching in matchings:
+                partners = matching.partners(cm)
+                for side in (PATIENT, DOCTOR):
+                    expected = [
+                        len(row) if partner is None else table[partner]
+                        for partner, row, table in zip(
+                            partners[side], cm.prefs(side), cm.ranks[side]
+                        )
+                    ]
+                    seen["unmatched"] += None in partners[side]
+                    assert partner_ranks(cm, partners, side) == expected, (seed, side)
     assert all(seen.values()), seen
