@@ -116,10 +116,11 @@ def estimate_total_distance(
             continue
         prefs = [sample(doctors, n) for _ in range(n)]
         # Every doctor lists every patient, so only the patients' lists
-        # constrain the mechanism, which continues the same RNG stream.
+        # constrain the mechanism, which continues the same RNG stream and
+        # matches every patient.
         cm = category_from_rankings(0, prefs, [doctors] * n)
-        pairs, _ = ramhecs_category(cm, rng)
-        samples.append(sum(prefs[p].index(d) for p, d in pairs))
+        partners, _ = ramhecs_category(cm, rng)
+        samples.append(sum(row.index(d) for row, d in zip(prefs, partners[PATIENT])))
     return _summarize(samples, {"n": n, "model": model})
 
 

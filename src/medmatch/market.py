@@ -126,12 +126,14 @@ class CategoryMarket:
     def with_prefs(self, side: str, lists: tuple[tuple[int, ...], ...]) -> "CategoryMarket":
         """A copy with side's preference lists replaced by lists. The copy
         shares both label tuples, so a matching computed on either one
-        scores on the other, and the other side's rank table, built here if
-        this category has not built it yet.
+        scores on the other, and the other side's rank table, which neither
+        builds until one of them reads it.
         """
         other = opposite(side)
         copy = replace(self, **{f"{side}_prefs": lists})
-        copy.ranks[other] = self.ranks[other]
+        # ranks is a cached_property: this sets the copy's before any read.
+        sources = {side: (lists, len(self.hospitals(other))), other: self.ranks}
+        object.__setattr__(copy, "ranks", _SharedRankTables(sources))
         return copy
 
 
@@ -162,6 +164,20 @@ class _RankTables(dict):
         return tables
 
 
+class _SharedRankTables(_RankTables):
+    """A with_prefs copy's tables. The unchanged side's source is the
+    original's tables, so whichever category reads it first builds it there,
+    once; the replaced side's is built here.
+    """
+
+    def __missing__(self, side: str) -> list[list[int | None]]:
+        source = self._sources[side]
+        if not isinstance(source, _RankTables):
+            return super().__missing__(side)
+        table = self[side] = source[side]
+        return table
+
+
 @dataclass(frozen=True)
 class Market:
     categories: tuple[CategoryMarket, ...]
@@ -185,7 +201,18 @@ def _check_prefs(cm: CategoryMarket, side: str, mode: str, out: list[str]) -> No
             f"{len(prefs)} preference lists"
         )
         return
+    full = mode == FULL
     for a, row in enumerate(prefs):
+        # A sound list passes whole-row tests; only a faulty one is walked
+        # entry by entry, to word its faults.
+        if (
+            type(row) is tuple
+            and set(map(type, row)) <= {int}
+            and (not row or 0 <= min(row) and max(row) < width)
+            and len(set(row)) == len(row)
+            and (not full or len(row) == width)
+        ):
+            continue
         if not isinstance(row, tuple):
             out.append(f"{agent(a)!r}: preference list {row!r} is not a tuple")
             continue
@@ -199,7 +226,7 @@ def _check_prefs(cm: CategoryMarket, side: str, mode: str, out: list[str]) -> No
                 out.append(f"{agent(a)!r}: duplicate entry {agent(entry, opposite(side))!r}")
             else:
                 seen.add(entry)
-        if mode == FULL and len(seen) < width:
+        if full and len(seen) < width:
             out.append(
                 f"{agent(a)!r}: list covers {len(seen)} of {width} "
                 "counterparts in full-preference mode"
@@ -222,17 +249,6 @@ def validate_market(market: Market) -> list[str]:
         _check_prefs(cm, PATIENT, market.mode, violations)
         _check_prefs(cm, DOCTOR, market.mode, violations)
     return violations
-
-
-def _require_str_labels(category, side: str, hospitals) -> None:
-    """Raise ValueError at the first hospital label that is not a str: the
-    wire format holds only str labels, so load_market would refuse it."""
-    for pos, label in enumerate(hospitals):
-        if not isinstance(label, str):
-            raise ValueError(
-                f"category {category}: {side} hospital label {label!r} "
-                f"at position {pos} is not a str"
-            )
 
 
 def category_from_rankings(
@@ -259,7 +275,13 @@ def category_from_rankings(
             raise ValueError(
                 f"{len(hospitals)} {side} hospitals for {count} {side} rankings"
             )
-        _require_str_labels(category, side, hospitals)
+        # The wire format holds only str labels: load_market would refuse any other.
+        for pos, label in enumerate(hospitals):
+            if not isinstance(label, str):
+                raise ValueError(
+                    f"category {category}: {side} hospital label {label!r} "
+                    f"at position {pos} is not a str"
+                )
     return CategoryMarket(
         category,
         tuple(patient_hospitals),
@@ -399,23 +421,15 @@ def store_market(market: Market) -> bytes:
     array or object is one join, so no document tree is built and the
     standard library's pure-Python indent encoder never runs.
 
-    Raises ValueError for a market that load_market would refuse once
-    written: an unknown mode, a category index other than its position, a
-    side with more or fewer lists than labels, a non-str hospital label,
-    and a list that holds an entry off the opposite roster, repeats an
-    entry or, in full mode, is shorter than the opposite roster.
+    Raises ValueError with validate_market's first violation for a market
+    that is not valid, and so could be written in a form load_market
+    refuses or reads back as another market.
     """
-    if market.mode not in MODES:
-        raise ValueError(f"unknown mode {market.mode!r}: must be one of {MODES}")
-    full = market.mode == FULL
+    violations = validate_market(market)
+    if violations:
+        raise ValueError(violations[0])
     categories = []
-    for pos, cm in enumerate(market.categories):
-        # bool and float indices equal to pos are still not indices.
-        if type(cm.category) is not int or cm.category != pos:
-            raise ValueError(
-                f"category index {cm.category!r} at position {pos}: "
-                "indices must be contiguous from 0"
-            )
+    for cm in market.categories:
         # Each agent's AgentId.label, quoted: ASCII that needs no escape.
         ids = {
             side: [f'"{side[0]}{a}"' for a in range(1, len(cm.hospitals(side)) + 1)]
@@ -423,39 +437,16 @@ def store_market(market: Market) -> bytes:
         }
         fields = [f'"index": {json.dumps(cm.category)}']
         for side in SIDES:
-            hospitals = cm.hospitals(side)
-            _require_str_labels(cm.category, side, hospitals)
             entries = [
                 _layout("{}", [f'"id": {i}', f'"hospital": {json.dumps(h)}'], " " * 8)
-                for i, h in zip(ids[side], hospitals)
+                for i, h in zip(ids[side], cm.hospitals(side))
             ]
             fields.append(f'"{side}s": ' + _layout("[]", entries, " " * 6))
         for side in SIDES:
             targets = ids[opposite(side)]
-            width = len(targets)
-            prefs = cm.prefs(side)
-            # zip below would drop a missing list or an extra one.
-            if len(prefs) != len(ids[side]):
-                raise ValueError(
-                    f"category {cm.category}: {len(ids[side])} {side}s but "
-                    f"{len(prefs)} preference lists"
-                )
-            for a, row in enumerate(prefs):
-                # A negative entry would index another agent's id.
-                if row and not 0 <= min(row) <= max(row) < width:
-                    entry = next(e for e in row if not 0 <= e < width)
-                    fault = f"holds entry {entry!r}, which is not on the {opposite(side)} roster"
-                elif len(set(row)) < len(row):
-                    seen = set()
-                    fault = f"repeats entry {next(e for e in row if e in seen or seen.add(e))!r}"
-                elif full and len(row) < width:
-                    fault = f"covers {len(row)} of {width} counterparts in full-preference mode"
-                else:
-                    continue
-                raise ValueError(f"category {cm.category}: {side} list at position {a} {fault}")
             lists = [
                 f"{i}: " + _layout("[]", list(map(targets.__getitem__, row)), " " * 8)
-                for i, row in zip(ids[side], prefs)
+                for i, row in zip(ids[side], cm.prefs(side))
             ]
             fields.append(f'"{side}_prefs": ' + _layout("{}", lists, " " * 6))
         categories.append(_layout("{}", fields, " " * 4))

@@ -1,10 +1,11 @@
 """The two allocation mechanisms: random serial pairing and deferred acceptance.
 
 Both operate per category (categories are independent sub-markets) and
-return a Matching of (patient, doctor) ordinal pairs plus TraceStats
-counters. The deferred-acceptance mechanism is fully deterministic; the
-randomized one derives a dedicated RNG stream per (seed, category) so
-categories could be processed in any order with identical results.
+return each agent's partner ordinal per side, the form a Matching stores,
+plus TraceStats counters. The deferred-acceptance mechanism is fully
+deterministic; the randomized one derives a dedicated RNG stream per
+(seed, category) so categories could be processed in any order with
+identical results.
 """
 
 from __future__ import annotations
@@ -60,58 +61,71 @@ class TraceStats:
 
 @dataclass
 class Matching:
-    """Per category, a set of (patient ordinal, doctor ordinal) pairs and
-    the (patient, doctor) hospital label tuples of the rosters those
-    ordinals index.
+    """Per category, each agent's partner ordinal per side, None when
+    unmatched ({PATIENT: [...], DOCTOR: [...]}), and the (patient, doctor)
+    hospital label tuples of the rosters those ordinals index. The
+    mechanisms' lists are stored unchecked; from_pairs checks a hand-built
+    matching once.
     """
 
     rosters: dict[int, tuple[tuple[str, ...], tuple[str, ...]]]
-    by_category: dict[int, frozenset[tuple[int, int]]]
+    by_category: dict[int, dict[str, list[int | None]]]
+
+    @classmethod
+    def from_pairs(cls, rosters: dict, pairs_by_category: dict) -> Matching:
+        """The matching of (patient ordinal, doctor ordinal) pairs per
+        category. Raises ValueError for an ordinal off the category's
+        rosters or in two pairs.
+        """
+        by_category = {}
+        for category, pairs in pairs_by_category.items():
+            n, m = map(len, rosters[category])
+            patient, doctor = [None] * n, [None] * m
+            pairs = set(pairs)
+            for i, j in pairs:
+                if not (0 <= i < n and 0 <= j < m):
+                    raise ValueError(
+                        f"matching references unknown agents (patient {i}, doctor {j})"
+                    )
+                patient[i], doctor[j] = j, i
+            # Each pair fills one slot per side unless an ordinal repeats.
+            if not len(pairs) == n - patient.count(None) == m - doctor.count(None):
+                raise ValueError(
+                    f"not a matching: an agent is in two pairs of category {category}"
+                )
+            by_category[category] = {PATIENT: patient, DOCTOR: doctor}
+        return cls(rosters, by_category)
 
     def pairs(self, category: int) -> frozenset[tuple[AgentId, AgentId]]:
         patients, doctors = self.rosters[category]
         return frozenset(
             (AgentId(PATIENT, category, i, patients[i]), AgentId(DOCTOR, category, j, doctors[j]))
-            for i, j in self.by_category[category]
+            for i, j in enumerate(self.by_category[category][PATIENT])
+            if j is not None
         )
 
     def matched_count(self, category: int) -> int:
-        return len(self.by_category[category])
+        partners = self.by_category[category][PATIENT]
+        return len(partners) - partners.count(None)
 
     def partners(self, cm: CategoryMarket) -> dict[str, list[int | None]]:
         """Each agent's partner ordinal in category cm, per side; None when
-        unmatched. Raises ValueError when the matching was computed on other
-        rosters, names an ordinal off cm's rosters or names one ordinal in
-        two pairs.
+        unmatched. The dict is the matching's own, shared with every caller,
+        and never mutated. Raises ValueError when the matching was computed
+        on other rosters.
         """
-        n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
         # Tuple comparison tries identity first: O(1) for the label tuples
         # that with_prefs copies share with their original.
         if self.rosters.get(cm.category) != (cm.patient_hospitals, cm.doctor_hospitals):
             raise ValueError(
                 f"matching references unknown agents: not category {cm.category}'s rosters"
             )
-        patient_partner: list[int | None] = [None] * n
-        doctor_partner: list[int | None] = [None] * m
-        pairs = self.by_category[cm.category]
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < m):
-                raise ValueError(
-                    f"matching references unknown agents (patient {i}, doctor {j})"
-                )
-            patient_partner[i] = j
-            doctor_partner[j] = i
-        # Each pair fills one slot per side unless an ordinal repeats.
-        if not len(pairs) == n - patient_partner.count(None) == m - doctor_partner.count(None):
-            raise ValueError(
-                f"not a matching: an agent is in two pairs of category {cm.category}"
-            )
-        return {PATIENT: patient_partner, DOCTOR: doctor_partner}
+        return self.by_category[cm.category]
 
 
 def ramhecs_category(
     cm: CategoryMarket, rng: random.Random
-) -> tuple[frozenset[tuple[int, int]], CategoryTrace]:
+) -> tuple[dict[str, list[int | None]], CategoryTrace]:
     """Randomized pairing: random unmatched patient, random available listed doctor.
 
     A patient's candidates are the free doctors on its list that list it
@@ -132,7 +146,7 @@ def ramhecs_category(
     everyone = all(len(row) == n for row in cm.doctor_prefs)
     doctor_ranks = None if everyone else cm.ranks[DOCTOR]
     active = list(range(n))
-    pairs = []
+    patient_partner, doctor_partner = [None] * n, [None] * m
     while active:
         trace.outer_iterations += 1
         t = active.pop(rng.randrange(len(active)))
@@ -150,10 +164,10 @@ def ramhecs_category(
                 continue
             d = rng.choice(candidates)
         trace.proposals += 1
-        pairs.append((t, d))
+        patient_partner[t], doctor_partner[d] = d, t
         free[d] = 0
         left -= 1
-    return frozenset(pairs), trace
+    return {PATIENT: patient_partner, DOCTOR: doctor_partner}, trace
 
 
 def tomhecs_category(
@@ -162,7 +176,7 @@ def tomhecs_category(
     events: list[tuple] | None = None,
     *,
     prefs: tuple[tuple[int, ...], ...] | None = None,
-) -> tuple[frozenset[tuple[int, int]], CategoryTrace]:
+) -> tuple[dict[str, list[int | None]], CategoryTrace]:
     """Deferred acceptance within one category, batch proposal order.
 
     Every free proposer proposes to its most-preferred counterpart not yet
@@ -178,7 +192,8 @@ def tomhecs_category(
     a round's offers at its end (McVitie & Wilson 1971). The next round
     visits just the proposers rejected in this one, in ascending ordinal
     order, less those whose lists are exhausted, which are never queued
-    again: O(proposals) time rather than O(rounds x roster).
+    again: O(proposals) time rather than O(rounds x roster). The proposers'
+    partners are filled from the receivers' final holders at the end.
 
     events, when given, are still emitted as the end-of-round resolution
     emits them: each propose, and any immediate reject, as it is made;
@@ -242,9 +257,11 @@ def tomhecs_category(
                     events.append(("hold", rnd, proposers[best], receivers[r]))
         free = sorted(p for p in rejected if next_choice[p] < len(prefs[p]))
 
-    # Per receiver, its proposer; as (patient, doctor) pairs.
-    held = [(p, r) for r, p in enumerate(holder) if p is not None]
-    return frozenset(held if proposing_side == PATIENT else ((r, p) for p, r in held)), trace
+    partner: list[int | None] = [None] * len(prefs)
+    for r, p in enumerate(holder):
+        if p is not None:
+            partner[p] = r
+    return {proposing_side: partner, opposite(proposing_side): holder}, trace
 
 
 def run_categories(
@@ -267,11 +284,11 @@ def run_categories(
     for cm in market.categories:
         if mechanism == RAMHECS:
             rng = random.Random(f"{seed}:ramhecs:{cm.category}")
-            pairs, trace = ramhecs_category(cm, rng)
+            partners, trace = ramhecs_category(cm, rng)
         else:
-            pairs, trace = tomhecs_category(cm, proposing_side, stats.events)
+            partners, trace = tomhecs_category(cm, proposing_side, stats.events)
         rosters[cm.category] = (cm.patient_hospitals, cm.doctor_hospitals)
-        by_category[cm.category] = pairs
+        by_category[cm.category] = partners
         stats.per_category.append(trace)
     return Matching(rosters, by_category), stats
 

@@ -16,10 +16,10 @@ def partner_ranks(
 ) -> list[int]:
     """Each `side` agent's 0-based rank of its partner on its own list.
 
-    partners is Matching.partners(cm). A rank is the partner's position on
-    the list, so no rank table is built. Being unmatched scores the list
-    length: one worse than the last choice. Raises ValueError for a partner
-    the agent does not list.
+    partners is a mechanism's result or Matching.partners(cm). A rank is
+    the partner's position on the list, so no rank table is built. Being
+    unmatched scores the list length: one worse than the last choice.
+    Raises ValueError for a partner the agent does not list.
     """
     lists = cm.prefs(side)
     try:
@@ -44,7 +44,7 @@ def eta_zeta(
 ) -> tuple[int, int]:
     """The `side` agents' eta and zeta in one category.
 
-    partners is Matching.partners(cm). An unmatched agent contributes its
+    partners is as in partner_ranks. An unmatched agent contributes its
     full list length to eta: one worse than its last-ranked choice.
     """
     scores = partner_ranks(cm, partners, side)

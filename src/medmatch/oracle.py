@@ -80,7 +80,8 @@ def is_stable(cm: CategoryMarket, matching: Matching) -> bool:
 def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> dict[str, list[int | None]]:
     """Proposer-optimal stable matching by sequential deferred acceptance:
     one free proposer at a time proposes down its list. Returns each agent's
-    partner ordinal per side, None when unmatched, as Matching.partners does.
+    partner ordinal per side, None when unmatched: the form of a mechanism's
+    result and of Matching.partners.
 
     Kept apart from tomhecs_category, so that the optimality verdict and the
     lattice the oracle walks never come from the mechanism it checks.
@@ -175,11 +176,9 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
             if reached not in seen:
                 seen.add(reached)
                 stack.append(reached)
+    rosters = {cm.category: (cm.patient_hospitals, cm.doctor_hospitals)}
     return [
-        Matching(
-            {cm.category: (cm.patient_hospitals, cm.doctor_hospitals)},
-            {cm.category: frozenset((p, d) for p, d in enumerate(a) if d != -1)},
-        )
+        Matching.from_pairs(rosters, {cm.category: [(p, d) for p, d in enumerate(a) if d != -1]})
         for a in sorted(seen)
     ]
 
@@ -227,20 +226,10 @@ def check_truthfulness_exhaustive(
     counterparts = cm.roster(opposite(proposing_side))
     proposers = cm.roster(proposing_side)
     prefs = cm.prefs(proposing_side)
-
-    # Where the proposer and its partner sit in a (patient, doctor) pair.
-    mine, theirs = (0, 1) if proposing_side == PATIENT else (1, 0)
-
-    def partner_of(pairs: frozenset[tuple[int, int]], idx: int) -> int | None:
-        for pair in pairs:
-            if pair[mine] == idx:
-                return pair[theirs]
-        return None
-
-    truthful, _ = tomhecs_category(cm, proposing_side)
+    truthful = tomhecs_category(cm, proposing_side)[0][proposing_side]
     reports = []
     for idx, (agent, row) in enumerate(zip(proposers, prefs)):
-        partner = partner_of(truthful, idx)
+        partner = truthful[idx]
         truthful_partner = None if partner is None else counterparts[partner]
         # Scored on the TRUE list; being unmatched scores the list length.
         truthful_score = len(row) if partner is None else row.index(partner)
@@ -253,8 +242,8 @@ def check_truthfulness_exhaustive(
                 continue
             tried += 1
             if read is None or perm[: len(read)] != read:
-                pairs, _ = tomhecs_category(cm, proposing_side, prefs=before + (perm,) + after)
-                new_partner = partner_of(pairs, idx)
+                partners, _ = tomhecs_category(cm, proposing_side, prefs=before + (perm,) + after)
+                new_partner = partners[proposing_side][idx]
                 read = perm if new_partner is None else perm[: perm.index(new_partner) + 1]
             if new_partner is not None and row.index(new_partner) < truthful_score:
                 misreport = tuple(counterparts[e] for e in perm)

@@ -311,10 +311,10 @@ def test_saved_matchings_round_trip_consistency():
             patients = {a.label: i for i, a in enumerate(cm.roster(PATIENT))}
             doctors = {a.label: j for j, a in enumerate(cm.roster(DOCTOR))}
             rosters[cm.category] = (cm.patient_hospitals, cm.doctor_hospitals)
-            by_category[cm.category] = frozenset(
+            by_category[cm.category] = [
                 (patients[p], doctors[d]) for p, d in record["pairs"][str(cm.category)]
-            )
-        matching = Matching(rosters, by_category)
+            ]
+        matching = Matching.from_pairs(rosters, by_category)
         eta_by_cat, _ = scores(market, matching, PATIENT)
         for row in result.rows:
             if row.rep == rep:

@@ -127,10 +127,9 @@ def test_a_hospital_label_that_is_not_a_str_is_reported_and_never_stored(ref_cat
     labels = (1,) + ref_category.hospitals(side)[1:]
     cm = dataclasses.replace(ref_category, **{f"{side}_hospitals": labels})
     market = Market((cm,))
-    assert validate_market(market) == [
-        f"{AgentId(side, 0, 0)!r}: hospital label 1 is not a str"
-    ]
-    with pytest.raises(ValueError, match=f"^category 0: {side} hospital label 1 at position 0"):
+    violation = f"{AgentId(side, 0, 0)!r}: hospital label 1 is not a str"
+    assert validate_market(market) == [violation]
+    with pytest.raises(ValueError, match=f"^{re.escape(violation)}$"):
         store_market(market)
 
 
@@ -149,12 +148,24 @@ def test_store_market_refuses_an_entry_off_the_opposite_roster(side, entry):
     lists[side] = ((0, 1), (1, entry))
     cm = CategoryMarket(0, ("h1", "h2"), ("H1", "H2"), lists[PATIENT], lists[DOCTOR])
     market = Market((cm,), PARTIAL)
-    assert validate_market(market) == [
-        f"{AgentId(side, 0, 1)!r}: entry {entry} is not on the opposite roster"
-    ]
-    message = (f"^category 0: {side} list at position 1 holds entry {entry}, "
-               f"which is not on the {opposite(side)} roster$")
-    with pytest.raises(ValueError, match=message):
+    violation = f"{AgentId(side, 0, 1)!r}: entry {entry} is not on the opposite roster"
+    assert validate_market(market) == [violation]
+    with pytest.raises(ValueError, match=f"^{re.escape(violation)}$"):
+        store_market(market)
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+@pytest.mark.parametrize("entry", [True, 1.0], ids=repr)
+def test_store_market_refuses_an_entry_that_is_not_an_int_ordinal(side, entry):
+    # True would be written as the id at ordinal 1 and reload as 1; 1.0
+    # indexes no id at all.
+    lists = {PATIENT: ((0, 1), (1, 0)), DOCTOR: ((0, 1), (1, 0))}
+    lists[side] = ((0, 1), (0, entry))
+    cm = CategoryMarket(0, ("h1", "h2"), ("H1", "H2"), lists[PATIENT], lists[DOCTOR])
+    market = Market((cm,), PARTIAL)
+    violation = f"{AgentId(side, 0, 1)!r}: entry {entry!r} is not an int ordinal"
+    assert validate_market(market) == [violation]
+    with pytest.raises(ValueError, match=f"^{re.escape(violation)}$"):
         store_market(market)
 
 
@@ -168,11 +179,9 @@ def test_store_market_refuses_a_repeated_entry(side, mode):
     market = Market((cm,), mode)
     # In full mode the list also covers too few counterparts; the repeat
     # is reported first.
-    assert validate_market(market)[0] == (
-        f"{AgentId(side, 0, 1)!r}: duplicate entry {AgentId(opposite(side), 0, 1)!r}"
-    )
-    message = f"^category 0: {side} list at position 1 repeats entry 1$"
-    with pytest.raises(ValueError, match=message):
+    violation = f"{AgentId(side, 0, 1)!r}: duplicate entry {AgentId(opposite(side), 0, 1)!r}"
+    assert validate_market(market)[0] == violation
+    with pytest.raises(ValueError, match=f"^{re.escape(violation)}$"):
         store_market(market)
 
 
@@ -211,12 +220,9 @@ def test_store_market_refuses_a_short_list_in_full_mode(side):
     lists[side] = ((0, 1), (1,))
     cm = CategoryMarket(0, ("h1", "h2"), ("H1", "H2"), lists[PATIENT], lists[DOCTOR])
     market = Market((cm,), FULL)
-    assert validate_market(market) == [
-        f"{AgentId(side, 0, 1)!r}: list covers 1 of 2 counterparts in full-preference mode"
-    ]
-    message = (f"^category 0: {side} list at position 1 covers 1 of 2 counterparts "
-               "in full-preference mode$")
-    with pytest.raises(ValueError, match=message):
+    violation = f"{AgentId(side, 0, 1)!r}: list covers 1 of 2 counterparts in full-preference mode"
+    assert validate_market(market) == [violation]
+    with pytest.raises(ValueError, match=f"^{re.escape(violation)}$"):
         store_market(market)
     partial = Market((cm,), PARTIAL)
     assert load_market(store_market(partial)) == partial
@@ -499,9 +505,11 @@ def test_with_prefs_shares_the_unchanged_side(side):
     assert copy.category == cm.category
     assert copy.patient_hospitals is cm.patient_hospitals
     assert copy.doctor_hospitals is cm.doctor_hospitals
-    # The unchanged side's table was built on the original and is shared.
-    assert list(cm.ranks) == [other]
-    assert copy.ranks[other] is cm.ranks[other]
+    # Nothing is built until read; then the unchanged side's table is one
+    # object, whichever category reads it first.
+    assert list(cm.ranks) == [] and list(copy.ranks) == []
+    first, second = (copy, cm) if side == PATIENT else (cm, copy)
+    assert first.ranks[other] is second.ranks[other]
     width = len(cm.roster(other))
     assert copy.ranks[side] == [rank_table(row, width) for row in lists]
     assert cm.ranks[side] == [rank_table(row, width) for row in cm.prefs(side)]
@@ -571,6 +579,33 @@ def test_patient_proposing_paths_build_no_patient_table(monkeypatch, tmp_path, l
     built.clear()
     assert main(["check", "stability", "--market", str(path), "--side", PATIENT]) == 0
     assert built == [DOCTOR, DOCTOR]
+
+
+@pytest.mark.parametrize("list_length", [None, 3])
+def test_perturbed_receivers_build_no_proposer_table(monkeypatch, list_length):
+    # Perturbing the doctors' lists copies each category with with_prefs;
+    # the patients' table it shares is built only if something reads it,
+    # and a patient-proposing run reads the doctors' tables alone.
+    config = ExperimentConfig(
+        k=1,
+        n_patients=8,
+        n_doctors=8,
+        mode=FULL if list_length is None else PARTIAL,
+        list_length=list_length,
+        presets=("large",),
+        deviating_party="requested",
+        measured_sides=(PATIENT, DOCTOR),
+    )
+    built = []
+    build = _RankTables.__missing__
+
+    def spy(tables, side):
+        built.append(side)
+        return build(tables, side)
+
+    monkeypatch.setattr(_RankTables, "__missing__", spy)
+    assert run_experiment(config).rows
+    assert built == [DOCTOR]
 
 
 def test_category_and_rank_tables_form_no_cycle():

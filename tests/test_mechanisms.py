@@ -8,6 +8,7 @@ import pytest
 from conftest import labels
 from medmatch import (
     InvalidMarketError,
+    Matching,
     generate_random_market,
     market_from_rankings,
     ramhecs,
@@ -80,10 +81,12 @@ def full_scan_deferred_acceptance(cm, proposing_side=PATIENT, events=None):
     return frozenset(pairs), trace
 
 
-def ordinal_pairs(pairs):
-    """A reference's AgentId pairs as the (patient ordinal, doctor ordinal)
-    pairs the mechanisms return."""
-    return frozenset((p.ordinal, d.ordinal) for p, d in pairs)
+def ordinal_partners(cm, pairs):
+    """A reference's AgentId pairs as the per-side partner lists the
+    mechanisms return, built and checked by Matching.from_pairs."""
+    rosters = {cm.category: (cm.patient_hospitals, cm.doctor_hospitals)}
+    ordinals = [(p.ordinal, d.ordinal) for p, d in pairs]
+    return Matching.from_pairs(rosters, {cm.category: ordinals}).by_category[cm.category]
 
 
 def set_scan_ramhecs(cm, rng):
@@ -295,10 +298,10 @@ def test_tomhecs_matches_full_scan_reference(lists, side):
             market = generate_random_market(1, n, m, list_length=length, seed=seed)
         cm = market.categories[0]
         events, ref_events = [], []
-        pairs, trace = tomhecs_category(cm, side, events)
+        partners, trace = tomhecs_category(cm, side, events)
         ref_pairs, ref_trace = full_scan_deferred_acceptance(cm, side, ref_events)
-        expected = (ordinal_pairs(ref_pairs), ref_trace, ref_events)
-        assert (pairs, trace, events) == expected, (n, m, seed)
+        expected = (ordinal_partners(cm, ref_pairs), ref_trace, ref_events)
+        assert (partners, trace, events) == expected, (n, m, seed)
         # Untraced, as every production caller runs it.
         assert tomhecs_category(cm, side) == expected[:2], (n, m, seed)
         # A round that brings one receiver two acceptable offers is where a
@@ -356,9 +359,9 @@ def test_ramhecs_matches_set_scan_reference(lists):
             )
         cm = market.categories[0]
         rng_new, rng_ref = random.Random(seed), random.Random(seed)
-        pairs, trace = ramhecs_category(cm, rng_new)
+        partners, trace = ramhecs_category(cm, rng_new)
         ref_pairs, ref_trace = set_scan_ramhecs(cm, rng_ref)
-        assert (pairs, trace) == (ordinal_pairs(ref_pairs), ref_trace), (n, m, seed)
+        assert (partners, trace) == (ordinal_partners(cm, ref_pairs), ref_trace), (n, m, seed)
         assert rng_new.getstate() == rng_ref.getstate(), (n, m, seed)
 
 
@@ -412,11 +415,10 @@ def test_tomhecs_reads_no_list_past_the_final_partner():
         cm = market.categories[0]
         for side in (PATIENT, DOCTOR):
             expected = tomhecs_category(cm, side)
-            mine = 0 if side == PATIENT else 1
-            partner = {pair[mine]: pair[1 - mine] for pair in expected[0]}
+            partner = expected[0][side]
             prefs = cm.prefs(side)
             for p, row in enumerate(prefs):
-                readable = row.index(partner[p]) + 1 if p in partner else len(row)
+                readable = len(row) if partner[p] is None else row.index(partner[p]) + 1
                 guarded = prefs[:p] + (ReadPrefix(row, readable),) + prefs[p + 1 :]
                 assert tomhecs_category(cm, side, prefs=guarded) == expected, (seed, side, p)
     assert shapes["full"] >= 60 and shapes["partial"] >= 150 and shapes["unequal"] >= 150, shapes
@@ -430,8 +432,9 @@ def test_proposal_counts_on_full_markets():
     counts = []
     for seed in range(300):
         cm = generate_random_market(1, n, n, seed=f"proposals:{seed}").categories[0]
-        pairs, trace = tomhecs_category(cm, (PATIENT, DOCTOR)[seed % 2])
-        assert trace.rejections == trace.proposals - len(pairs), seed
+        partners, trace = tomhecs_category(cm, (PATIENT, DOCTOR)[seed % 2])
+        matched = len(partners[PATIENT]) - partners[PATIENT].count(None)
+        assert trace.rejections == trace.proposals - matched, seed
         counts.append(trace.proposals)
     mean = statistics.fmean(counts)
     std_error = statistics.stdev(counts) / math.sqrt(len(counts))

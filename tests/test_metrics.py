@@ -6,7 +6,6 @@ from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS, scores
 from medmatch import (
     Matching,
     PerturbationSpec,
-    check_requesting_party_optimal,
     eta_zeta,
     find_blocking_pairs,
     generate_random_market,
@@ -88,7 +87,7 @@ def test_partner_absent_from_list_is_an_error():
     partial = market_from_rankings([[0], [1]], [[0], [1]], mode="partial")
     cm = partial.categories[0]
     # Force a pair that is not on the patient's list.
-    bogus = Matching({0: (cm.patient_hospitals, cm.doctor_hospitals)}, {0: frozenset({(0, 1)})})
+    bogus = Matching.from_pairs({0: (cm.patient_hospitals, cm.doctor_hospitals)}, {0: {(0, 1)}})
     with pytest.raises(ValueError, match="absent from its list"):
         eta_zeta(cm, bogus.partners(cm), PATIENT)
 
@@ -137,10 +136,16 @@ def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
         # ref_market's, though every pair is in range.
         other = market_from_rankings(REF_PATIENT_RANKINGS, REF_DOCTOR_RANKINGS)
         rosters = (other.categories[0].patient_hospitals, other.categories[0].doctor_hospitals)
-    matching = Matching({0: rosters}, {0: frozenset(pairs)})
-    with pytest.raises(ValueError, match="unknown agents"):
+    if case != "other_rosters":
+        # An ordinal off the rosters is refused where the matching is built.
+        with pytest.raises(ValueError, match=r"unknown agents \(patient"):
+            Matching.from_pairs({0: rosters}, {0: pairs})
+        return
+    # A matching on other rosters is refused where it is scored.
+    matching = Matching.from_pairs({0: rosters}, {0: pairs})
+    with pytest.raises(ValueError, match="unknown agents: not category 0's rosters"):
         scores(ref_market, matching, PATIENT)
-    with pytest.raises(ValueError, match="unknown agents"):
+    with pytest.raises(ValueError, match="unknown agents: not category 0's rosters"):
         find_blocking_pairs(cm, matching)
 
 
@@ -149,14 +154,9 @@ def test_hand_built_pairs_that_are_not_a_matching_are_refused(ref_market, case):
     cm = ref_market.categories[0]
     # One agent paired with three of the other side's.
     pairs = {(1, 0), (1, 1), (1, 2)} if case == "patient_twice" else {(0, 1), (1, 1), (2, 1)}
-    matching = Matching({0: (cm.patient_hospitals, cm.doctor_hospitals)}, {0: frozenset(pairs)})
-    for side in (PATIENT, DOCTOR):
-        with pytest.raises(ValueError, match="two pairs"):
-            scores(ref_market, matching, side)
-        with pytest.raises(ValueError, match="two pairs"):
-            check_requesting_party_optimal(cm, matching, side)
-    with pytest.raises(ValueError, match="two pairs"):
-        find_blocking_pairs(cm, matching)
+    # Refused where the matching is built, before anything can score it.
+    with pytest.raises(ValueError, match="not a matching: an agent is in two pairs of category 0"):
+        Matching.from_pairs({0: (cm.patient_hospitals, cm.doctor_hospitals)}, {0: pairs})
 
 
 def test_matching_on_a_with_prefs_copy_scores_on_the_original(ref_market):
@@ -257,3 +257,34 @@ def test_partner_ranks_equal_the_rank_table_lookup():
                     seen["unmatched"] += None in partners[side]
                     assert partner_ranks(cm, partners, side) == expected, (seed, side)
     assert all(seen.values()), seen
+
+
+def test_from_pairs_round_trips_the_mechanisms_matchings():
+    # A mechanism's Matching, read back as ordinal pairs and rebuilt by
+    # from_pairs, is the same Matching; and each side's partner list is the
+    # inverse of the other's: p -> d exactly when d -> p.
+    seen = {"full": 0, "partial": 0, "unequal rosters": 0, "unmatched": 0, "matchings": 0}
+    for seed in range(500):
+        market = random_market(seed)
+        seen[market.mode] += 1
+        seen["unequal rosters"] += any(
+            len(cm.patient_hospitals) != len(cm.doctor_hospitals) for cm in market.categories
+        )
+        for matching in (
+            ramhecs(market, seed=seed)[0],
+            tomhecs(market, PATIENT)[0],
+            tomhecs(market, DOCTOR)[0],
+        ):
+            pairs = {
+                c: [(p.ordinal, d.ordinal) for p, d in matching.pairs(c)]
+                for c in matching.by_category
+            }
+            assert Matching.from_pairs(matching.rosters, pairs) == matching, seed
+            for partners in matching.by_category.values():
+                patient, doctor = partners[PATIENT], partners[DOCTOR]
+                assert all(doctor[d] == p for p, d in enumerate(patient) if d is not None), seed
+                assert all(patient[p] == d for d, p in enumerate(doctor) if p is not None), seed
+                seen["unmatched"] += None in patient + doctor
+                seen["matchings"] += 1
+    assert all(seen.values()), seen
+    assert seen["matchings"] >= 2500, seen

@@ -25,9 +25,9 @@ from medmatch.metrics import partner_ranks
 
 def pair_up(cm, assignment):
     """Matching from {patient ordinal: doctor ordinal}."""
-    return Matching(
+    return Matching.from_pairs(
         {cm.category: (cm.patient_hospitals, cm.doctor_hospitals)},
-        {cm.category: frozenset(assignment.items())},
+        {cm.category: assignment.items()},
     )
 
 
@@ -111,11 +111,9 @@ def reference_truthfulness_sweep(cm, proposing_side, mechanism=tomhecs_category)
     counterparts = cm.roster(opposite(proposing_side))
     proposers = cm.roster(proposing_side)
     prefs = cm.prefs(proposing_side)
-    rosters = (cm.patient_hospitals, cm.doctor_hospitals)
 
     def outcome(category):
-        pairs, _ = mechanism(category, proposing_side)
-        return Matching({cm.category: rosters}, {cm.category: pairs}).partners(cm)
+        return mechanism(category, proposing_side)[0]
 
     truthful = outcome(cm)
     truthful_scores = partner_ranks(cm, truthful, proposing_side)
@@ -278,10 +276,14 @@ def test_lattice_facts_at_scale():
             cm = generate_random_market(1, n, n, list_length=list_length, seed=n).categories[0]
             matchings, extremes = {}, {}
             for side in (PATIENT, DOCTOR):
-                pairs, _ = tomhecs_category(cm, side)
-                matchings[side] = pair_up(cm, dict(pairs))
-                extremes[side] = matchings[side].partners(cm)
+                extremes[side], _ = tomhecs_category(cm, side)
                 assert extremes[side] == oracle._gale_shapley(cm, side), (n, list_length, side)
+                # A mechanism's partner lists make a Matching unchecked, as
+                # run_categories builds one.
+                matchings[side] = Matching(
+                    {cm.category: (cm.patient_hospitals, cm.doctor_hospitals)},
+                    {cm.category: extremes[side]},
+                )
             patient_optimal, doctor_optimal = extremes[PATIENT], extremes[DOCTOR]
             for side in (PATIENT, DOCTOR):
                 # Rural hospitals: both extremes match the same agents.
@@ -501,9 +503,10 @@ def immediate_acceptance(cm, proposing_side=PATIENT, events=None, *, prefs=None)
             held[r] = min(proposers, key=ranks[r].__getitem__)
         accepted = set(held.values())
         free = [p for p in free if p not in accepted and next_choice[p] < len(prefs[p])]
-    if proposing_side == PATIENT:
-        return frozenset((p, r) for r, p in held.items()), trace
-    return frozenset(held.items()), trace
+    partner, holder = [None] * len(prefs), [None] * len(ranks)
+    for r, p in held.items():
+        partner[p], holder[r] = r, p
+    return {proposing_side: partner, opposite(proposing_side): holder}, trace
 
 
 def test_truthfulness_sweep_finds_immediate_acceptance_manipulable(monkeypatch):
@@ -546,19 +549,14 @@ def sampled_gains(mechanism):
         for seed in range(4):
             cm = generate_random_market(1, n, n, seed=f"sampled:{n}:{seed}").categories[0]
             for side in (PATIENT, DOCTOR):
-                mine = 0 if side == PATIENT else 1
                 prefs, own_ranks = cm.prefs(side), cm.ranks[side]
-
-                def partners(pairs):
-                    return {pair[mine]: pair[1 - mine] for pair in pairs}
-
-                truthful = partners(mechanism(cm, side)[0])
+                truthful = mechanism(cm, side)[0][side]
                 for idx in rng.sample(range(n), 8):
-                    partner = truthful.get(idx)
+                    partner = truthful[idx]
                     score = n if partner is None else own_ranks[idx][partner]
                     for misreport in sampled_misreports(rng, prefs[idx]):
                         swapped = prefs[:idx] + (misreport,) + prefs[idx + 1 :]
-                        new_partner = partners(mechanism(cm, side, prefs=swapped)[0]).get(idx)
+                        new_partner = mechanism(cm, side, prefs=swapped)[0][side][idx]
                         tried += 1
                         gains += new_partner is not None and own_ranks[idx][new_partner] < score
     return tried, gains
