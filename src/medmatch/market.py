@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from math import ceil, log
 
 PATIENT = "patient"
@@ -302,9 +302,37 @@ def market_from_rankings(
     return Market((cm,), mode)
 
 
+@cache
+def _sample_plan(n: int, k: int) -> tuple[tuple[int, range], ...] | None:
+    """How Random.sample(population, k) draws from n items: None for its
+    set branch; for its pool branch, per band of draw widths, the bits and
+    the range of pool positions filled at that width, last first.
+
+    The standard library takes the pool branch when an n-item list is
+    smaller than a k-item set. Its draw below the pool size s takes
+    s.bit_length() bits, so the width only changes where s falls below a
+    power of two, and each band of sizes shares one width.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n > setsize:
+        return None
+    plan = []
+    stop = n - k
+    size = n
+    while size > stop:
+        bits = size.bit_length()
+        band_end = max(stop, (1 << (bits - 1)) - 1)
+        plan.append((bits, range(size - 1, band_end - 1, -1)))
+        size = band_end
+    return tuple(plan)
+
+
 def _sampler(rng: random.Random):
     """Return sample(population, k), CPython's Random.sample algorithm with
-    rng.getrandbits bound once and the _randbelow rejection loop inlined.
+    rng.getrandbits bound once, the _randbelow rejection loop inlined and
+    the branch and draw widths read from the cached _sample_plan(n, k).
 
     Draw for draw it makes the same getrandbits calls as Random.sample, so
     it returns the same items, as a tuple, and leaves rng in the same state.
@@ -315,41 +343,31 @@ def _sampler(rng: random.Random):
         n = len(population)
         if not 0 <= k <= n:
             raise ValueError("Sample larger than population or is negative")
+        plan = _sample_plan(n, k)
+        if plan is not None:
+            # Pool branch: the i-th draw picks below the unselected prefix
+            # pool[:last + 1], last = n - 1 - i, and swaps the pick into
+            # pool[last]. The picks fill the tail, last first.
+            pool = list(population)
+            for bits, lasts in plan:
+                for last in lasts:
+                    j = getrandbits(bits)
+                    while j > last:
+                        j = getrandbits(bits)
+                    pool[j], pool[last] = pool[last], pool[j]
+            return tuple(pool[n - k :][::-1])
+        # Set branch: redraw an index below n until it is unselected.
+        bits = n.bit_length()
         result = []
         append = result.append
-        # The standard library's rule for choosing between its two branches.
-        setsize = 21
-        if k > 5:
-            setsize += 4 ** ceil(log(k * 3, 4))
-        if n <= setsize:
-            # Pool branch: draw below the shrinking pool size, move the
-            # last unselected item into the vacancy. The draw's bit width
-            # only changes when size falls below a power of two, so each
-            # band of sizes shares one width.
-            pool = list(population)
-            stop = n - k
-            size = n
-            while size > stop:
-                bits = size.bit_length()
-                band_end = max(stop, (1 << (bits - 1)) - 1)
-                for size in range(size, band_end, -1):
-                    j = getrandbits(bits)
-                    while j >= size:
-                        j = getrandbits(bits)
-                    append(pool[j])
-                    pool[j] = pool[size - 1]
-                size = band_end
-        else:
-            # Set branch: redraw an index below n until it is unselected.
-            bits = n.bit_length()
-            selected = set()
-            add = selected.add
-            for _ in range(k):
+        selected = set()
+        add = selected.add
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
                 j = getrandbits(bits)
-                while j >= n or j in selected:
-                    j = getrandbits(bits)
-                add(j)
-                append(population[j])
+            add(j)
+            append(population[j])
         return tuple(result)
 
     return sample

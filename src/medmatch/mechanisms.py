@@ -133,12 +133,17 @@ def ramhecs_category(
     stays unmatched for good when there is none. When every doctor lists
     every patient and the patient's list is full, the candidates are all
     `left` free doctors: the index is drawn first and the list is scanned
-    only up to it, without rank tables. randrange(c) draws as choice(seq)
-    does when len(seq) == c, so both branches keep the same RNG stream.
+    only up to it, without rank tables.
+
+    Each draw below a count c is written out as the standard library's
+    rejection loop on rng.getrandbits(c.bit_length()), the one draw that
+    both rng.randrange(c) and rng.choice of c items make, so the RNG stream
+    is theirs. Every patient is drawn exactly once, so the counters are set
+    at the end: proposals is the matched count and outer_iterations is n.
     """
-    trace = CategoryTrace(cm.category)
     n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
     prefs = cm.patient_prefs
+    getrandbits = rng.getrandbits
     free = bytearray(b"\x01") * m
     is_free = free.__getitem__
     left = m
@@ -148,25 +153,34 @@ def ramhecs_category(
     active = list(range(n))
     patient_partner, doctor_partner = [None] * n, [None] * m
     while active:
-        trace.outer_iterations += 1
-        t = active.pop(rng.randrange(len(active)))
+        c = len(active)
+        bits = c.bit_length()
+        i = getrandbits(bits)
+        while i >= c:
+            i = getrandbits(bits)
+        t = active.pop(i)
         row = prefs[t]
-        if everyone and len(row) == m:
-            if not left:
-                continue
-            d = next(islice(compress(row, map(is_free, row)), rng.randrange(left), None))
+        full = everyone and len(row) == m
+        if full:
+            c = left
         else:
             candidates = [
                 d for d in row if free[d] and (everyone or doctor_ranks[d][t] is not None)
             ]
-            if not candidates:
-                # Exhausted patient (partial lists): stays permanently unmatched.
-                continue
-            d = rng.choice(candidates)
-        trace.proposals += 1
+            c = len(candidates)
+        if not c:
+            # Exhausted patient: stays permanently unmatched.
+            continue
+        bits = c.bit_length()
+        i = getrandbits(bits)
+        while i >= c:
+            i = getrandbits(bits)
+        d = next(islice(compress(row, map(is_free, row)), i, None)) if full else candidates[i]
         patient_partner[t], doctor_partner[d] = d, t
         free[d] = 0
         left -= 1
+    matched = n - patient_partner.count(None)
+    trace = CategoryTrace(cm.category, proposals=matched, outer_iterations=n)
     return {PATIENT: patient_partner, DOCTOR: doctor_partner}, trace
 
 
@@ -189,11 +203,16 @@ def tomhecs_category(
     at once and the worse of the two is rejected. The last holder within a
     round is the best of the old holder and that round's proposers, so
     pairs, proposals, rejections and rounds are those of resolving all of
-    a round's offers at its end (McVitie & Wilson 1971). The next round
-    visits just the proposers rejected in this one, in ascending ordinal
-    order, less those whose lists are exhausted, which are never queued
-    again: O(proposals) time rather than O(rounds x roster). The proposers'
-    partners are filled from the receivers' final holders at the end.
+    a round's offers at its end (McVitie & Wilson 1971). A rejected
+    proposer is queued only while its list has entries left, and the next
+    round visits that queue in ascending ordinal order: O(proposals) time
+    rather than O(rounds x roster). The proposers' partners are filled
+    from the receivers' final holders at the end.
+
+    The counters are set once, at the end, too. Every proposal ends either
+    as a final hold or rejected exactly once, so proposals is the sum of
+    the proposers' list positions reached, rejections is proposals less
+    the matched count, and outer_iterations is the number of rounds.
 
     events, when given, are still emitted as the end-of-round resolution
     emits them: each propose, and any immediate reject, as it is made;
@@ -208,7 +227,6 @@ def tomhecs_category(
     and len(prefs[p]), in order, and never past the entry p ends matched to.
     The misreport sweep relies on it.
     """
-    trace = CategoryTrace(cm.category)
     if prefs is None:
         prefs = cm.prefs(proposing_side)
     ranks = cm.ranks[opposite(proposing_side)]
@@ -220,17 +238,19 @@ def tomhecs_category(
     holder: list[int | None] = [None] * len(ranks)  # proposer held by receiver
 
     free = [p for p in range(len(prefs)) if len(prefs[p])]
+    rnd = 0
     while free:
-        trace.outer_iterations += 1
-        rnd = trace.outer_iterations
+        rnd += 1
         rejected = []
         if events is not None:
             # Per receiver, its holder at the round's start and then the
             # round's acceptable offers, for the end-of-round events.
             offers: dict[int, list[int | None]] = {}
         for p in free:
-            r = prefs[p][next_choice[p]]
-            next_choice[p] += 1
+            row = prefs[p]
+            i = next_choice[p]
+            r = row[i]
+            next_choice[p] = i = i + 1
             rank = ranks[r]
             h = holder[r]
             if events is not None:
@@ -240,13 +260,12 @@ def tomhecs_category(
                 else:
                     offers.setdefault(r, [h]).append(p)
             if rank[p] is None or h is not None and rank[h] < rank[p]:
-                rejected.append(p)
+                if i < len(row):
+                    rejected.append(p)
             else:
                 holder[r] = p
-                if h is not None:
+                if h is not None and next_choice[h] < len(prefs[h]):
                     rejected.append(h)
-        trace.proposals += len(free)
-        trace.rejections += len(rejected)
         if events is not None:
             for r, (start, *offered) in offers.items():
                 best = holder[r]
@@ -255,12 +274,16 @@ def tomhecs_category(
                         events.append(("reject", rnd, proposers[c], receivers[r]))
                 if start != best:
                     events.append(("hold", rnd, proposers[best], receivers[r]))
-        free = sorted(p for p in rejected if next_choice[p] < len(prefs[p]))
+        rejected.sort()
+        free = rejected
 
     partner: list[int | None] = [None] * len(prefs)
     for r, p in enumerate(holder):
         if p is not None:
             partner[p] = r
+    proposals = sum(next_choice)
+    matched = len(holder) - holder.count(None)
+    trace = CategoryTrace(cm.category, proposals, proposals - matched, rnd)
     return {proposing_side: partner, opposite(proposing_side): holder}, trace
 
 

@@ -235,6 +235,94 @@ def test_tomhecs_rejects_proposer_absent_from_receiver_list():
     assert stats.rejections == 1  # p2's proposal to d1 bounces immediately
 
 
+# Two hand-built partial markets, each shaped the same from both sides, with
+# each side's exact outcome: partners per side, proposals, rejections,
+# rounds, and the events as (kind, round, proposer, receiver) labels.
+# - "displaced_exhausted": p2 (d1 as proposer) is held in round 1 on a
+#   one-entry list and displaced in round 2, and is not queued again.
+# - "displaced_in_round": in round 1, p1 (d1) is held and then displaced
+#   by a preferred proposer to the same receiver; only the final hold is
+#   emitted.
+DA_CASES = {
+    "displaced_exhausted": (
+        [[2], [1], [2, 1, 0]],  # p1: d3; p2: d2; p3: d3 > d2 > d1
+        [[2], [0, 2, 1], [1]],  # d1: p3; d2: p1 > p3 > p2; d3: p2
+        {
+            PATIENT: (
+                {PATIENT: [None, None, 1], DOCTOR: [None, 2, None]},
+                (4, 3, 2),
+                [
+                    ("propose", 1, "p1", "d3"),
+                    ("reject", 1, "p1", "d3"),
+                    ("propose", 1, "p2", "d2"),
+                    ("propose", 1, "p3", "d3"),
+                    ("reject", 1, "p3", "d3"),
+                    ("hold", 1, "p2", "d2"),
+                    ("propose", 2, "p3", "d2"),
+                    ("reject", 2, "p2", "d2"),
+                    ("hold", 2, "p3", "d2"),
+                ],
+            ),
+            DOCTOR: (
+                {PATIENT: [None, None, 1], DOCTOR: [None, 2, None]},
+                (4, 3, 2),
+                [
+                    ("propose", 1, "d1", "p3"),
+                    ("propose", 1, "d2", "p1"),
+                    ("reject", 1, "d2", "p1"),
+                    ("propose", 1, "d3", "p2"),
+                    ("reject", 1, "d3", "p2"),
+                    ("hold", 1, "d1", "p3"),
+                    ("propose", 2, "d2", "p3"),
+                    ("reject", 2, "d1", "p3"),
+                    ("hold", 2, "d2", "p3"),
+                ],
+            ),
+        },
+    ),
+    "displaced_in_round": (
+        [[1], [1, 0]],  # p1: d2; p2: d2 > d1
+        [[1], [1, 0]],  # d1: p2; d2: p2 > p1
+        {
+            PATIENT: (
+                {PATIENT: [None, 1], DOCTOR: [None, 1]},
+                (2, 1, 1),
+                [
+                    ("propose", 1, "p1", "d2"),
+                    ("propose", 1, "p2", "d2"),
+                    ("reject", 1, "p1", "d2"),
+                    ("hold", 1, "p2", "d2"),
+                ],
+            ),
+            DOCTOR: (
+                {PATIENT: [None, 1], DOCTOR: [None, 1]},
+                (2, 1, 1),
+                [
+                    ("propose", 1, "d1", "p2"),
+                    ("propose", 1, "d2", "p2"),
+                    ("reject", 1, "d1", "p2"),
+                    ("hold", 1, "d2", "p2"),
+                ],
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+@pytest.mark.parametrize("case", sorted(DA_CASES))
+def test_tomhecs_counters_and_events_on_hand_built_markets(case, side):
+    patient_rankings, doctor_rankings, outcomes = DA_CASES[case]
+    cm = market_from_rankings(patient_rankings, doctor_rankings, PARTIAL).categories[0]
+    partners, counts, expected_events = outcomes[side]
+    events = []
+    result, trace = tomhecs_category(cm, side, events)
+    assert result == partners
+    assert (trace.proposals, trace.rejections, trace.outer_iterations) == counts
+    assert [(k, rnd, p.label, r.label) for k, rnd, p, r in events] == expected_events
+    assert tomhecs_category(cm, side) == (result, trace)
+
+
 def test_tomhecs_doctor_proposing(ref_market):
     matching, _ = tomhecs(ref_market, DOCTOR)
     # Doctor-optimal stable matching of the reference market.
@@ -366,13 +454,21 @@ def test_ramhecs_matches_set_scan_reference(lists):
 
 
 def test_randrange_and_choice_draw_alike():
-    # ramhecs_category draws an index with randrange(c) where the reference
-    # picks with choice over c candidates: both must take one _randbelow(c).
-    for c in list(range(1, 70)) + [255, 256, 257, 1023, 1024, 4096, 2**31 + 1]:
-        a, b = random.Random(c), random.Random(c)
-        for _ in range(20):
-            assert a.randrange(c) == b.choice(range(c))
-        assert a.getstate() == b.getstate()
+    # ramhecs_category writes each draw below c out as this rejection loop
+    # on getrandbits; randrange(c) and choice over c items must draw alike.
+    def inlined(rng, c):
+        bits = c.bit_length()
+        i = rng.getrandbits(bits)
+        while i >= c:
+            i = rng.getrandbits(bits)
+        return i
+
+    for c in (1, 2, 3, 255, 256, 257, 1023, 1024, 4096, 2**31 + 1):
+        ours, by_randrange, by_choice = (random.Random(f"draw:{c}") for _ in range(3))
+        for _ in range(50):
+            i = inlined(ours, c)
+            assert i == by_randrange.randrange(c) == by_choice.choice(range(c)), c
+        assert ours.getstate() == by_randrange.getstate() == by_choice.getstate(), c
 
 
 class ReadPrefix(tuple):
