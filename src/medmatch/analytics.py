@@ -5,9 +5,9 @@ index, independent geometric rejections) and the randomized mechanism's
 concrete dynamics; each converges to a known closed form that the tests pin
 at three standard errors.
 
-numpy is imported only by `simulate_geometric_rejections`, on its first
-call, so importing medmatch and every command but `analytics lemma6` never
-load it.
+numpy is imported only by `simulate_geometric_rejections`, and the
+mechanisms only by `estimate_total_distance`, each on its first call, so
+`analytics lemma4` loads neither and only `analytics lemma6` loads numpy.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ import statistics
 from dataclasses import dataclass, replace
 
 from .market import DOCTOR, PATIENT, Market, _sampler, category_from_rankings
-from .mechanisms import ramhecs_category
-
-PRESET_PROBABILITIES = {
-    "none": 0.0,
-    "small": 1 / 8,
-    "medium": 1 / 4,
-    "large": 1 / 2,
-}
 
 
 @dataclass(frozen=True)
@@ -106,6 +98,8 @@ def estimate_total_distance(
         raise ValueError("trials must be >= 1")
     if model not in ("mechanism", "stylized"):
         raise ValueError(f"unknown model {model!r}")
+    from .mechanisms import ramhecs_category
+
     rng = random.Random(f"{seed}:total-distance")
     sample = _sampler(rng)
     samples = []

@@ -10,6 +10,10 @@ argparse usage error (say `match run` with no --config, or --reps two),
 3 check refused (an instance outside the misreport sweep's guards: rosters
 too large, or partial lists). Stability and optimality are checked at any
 roster size.
+
+Each command imports the modules it runs when it runs: start-up counts in a
+command's wall time, and `match check` needs neither the harness nor the
+estimators.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import functools
 import json
 import sys
 
-from . import analytics, harness, oracle
-from .market import DOCTOR, PATIENT, load_market
-from .mechanisms import TOMHECS, run_categories
+from .market import DOCTOR, PATIENT, PRESET_PROBABILITIES, CheckRefused, load_market
 
 
 def _add_run(subparsers):
@@ -31,7 +33,7 @@ def _add_run(subparsers):
     p.add_argument("--mechanism", action="append", default=None)
     p.add_argument("--side", choices=(PATIENT, DOCTOR), default=None)
     p.add_argument("--variation", action="append", default=None,
-                   choices=tuple(analytics.PRESET_PROBABILITIES))
+                   choices=tuple(PRESET_PROBABILITIES))
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
@@ -74,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    from . import harness
+
     with open(args.config, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -122,11 +126,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import mechanisms, oracle
+
     with open(args.market, "rb") as handle:
         market = load_market(handle.read())
     if args.property != "truthfulness":
         # load_market has validated the market; the sweep runs its own.
-        matching, _ = run_categories(market, TOMHECS, args.side)
+        matching, _ = mechanisms.run_categories(market, mechanisms.TOMHECS, args.side)
     failed = False
     if args.property == "stability":
         for cm in market.categories:
@@ -153,6 +159,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_analytics(args) -> int:
+    from . import analytics
+
     if args.model == "lemma4":
         result = analytics.estimate_first_pick_distance(args.n, args.trials, args.seed)
         reference = (args.n - 1) / 2
@@ -181,7 +189,7 @@ def main(argv=None) -> int:
     # are ValueErrors.
     try:
         return args.func(args)
-    except oracle.CheckRefused as exc:
+    except CheckRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

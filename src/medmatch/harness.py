@@ -16,13 +16,14 @@ import stat
 from dataclasses import asdict, dataclass, field
 from statistics import fmean, stdev
 
-from .analytics import PRESET_PROBABILITIES, PerturbationSpec, perturb_preferences
+from .analytics import PerturbationSpec, perturb_preferences
 from .market import (
     DOCTOR,
     FULL,
     MODES,
     PARTIAL,
     PATIENT,
+    PRESET_PROBABILITIES,
     generate_random_market,
     opposite,
 )

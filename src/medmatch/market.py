@@ -31,9 +31,26 @@ FULL = "full"
 PARTIAL = "partial"
 MODES = (FULL, PARTIAL)
 
+# Named deviation probabilities for perturbing one side's lists: the
+# experiment grid's presets and `match run --variation`'s choices.
+PRESET_PROBABILITIES = {
+    "none": 0.0,
+    "small": 1 / 8,
+    "medium": 1 / 4,
+    "large": 1 / 2,
+}
+
 
 class InvalidMarketError(ValueError):
     """A mechanism was handed a market that fails validation."""
+
+
+class CheckRefused(ValueError):
+    """A check declined an instance outside its guard: rosters too large,
+    or partial lists where the sweep needs full ones. Nothing was checked.
+    Raised by `oracle`; defined here so `match` maps it to its exit code
+    without importing the oracle.
+    """
 
 
 class MarketFormatError(ValueError):

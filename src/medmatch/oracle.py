@@ -16,18 +16,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
-from .market import DOCTOR, PATIENT, SIDES, AgentId, CategoryMarket, opposite
+from .market import DOCTOR, PATIENT, SIDES, AgentId, CategoryMarket, CheckRefused, opposite
 from .mechanisms import Matching, tomhecs_category
 from .metrics import partner_ranks
 
 ENUMERATION_LIMIT = 8
 MISREPORT_LIMIT = 5
-
-
-class CheckRefused(ValueError):
-    """A check declined an instance outside its guard: rosters too large,
-    or partial lists where the sweep needs full ones. Nothing was checked.
-    """
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ from medmatch import (
     simulate_geometric_rejections,
     validate_market,
 )
-from medmatch.analytics import PRESET_PROBABILITIES
-from medmatch.market import DOCTOR, PATIENT
+from medmatch.market import DOCTOR, PATIENT, PRESET_PROBABILITIES
 
 
 def test_preset_ladder():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_reference_market
 from medmatch import generate_random_market, store_market
-from medmatch import cli
+from medmatch import cli, mechanisms
 from medmatch.cli import main
 
 
@@ -177,7 +177,7 @@ def test_check_truthfulness_runs_no_matching(market_file, capsys, monkeypatch, s
     def refuse(*args, **kwargs):
         raise AssertionError("the truthfulness check ran a matching it never reads")
 
-    monkeypatch.setattr(cli, "run_categories", refuse)
+    monkeypatch.setattr(mechanisms, "run_categories", refuse)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
 
@@ -236,46 +236,114 @@ def test_analytics_bad_parameters():
     assert main(["analytics", "lemma6", "--n", "8", "--trials", "10", "--p", "1.0"]) == 1
 
 
-# Runs in a fresh interpreter, since this one has already imported numpy.
-# Reports on stderr whether numpy was loaded after the import and after each
-# command; only lemma6's output reaches stdout.
+# Runs in a fresh interpreter, since this one has already imported every
+# module and numpy. Runs the commands given as its arguments, in order, and
+# reports on stderr which medmatch submodules are loaded, and whether numpy
+# is, after `import medmatch`, after `import medmatch.cli` and after each
+# command. Only lemma6's output reaches stdout.
 COLD_START = """
 import contextlib, io, json, sys
-import medmatch, medmatch.cli
-from medmatch.cli import main
 
-loaded = {"import": "numpy" in sys.modules}
-for argv in (
-    ["run", "--config", "config.json", "--out", "results.csv"],
-    ["check", "stability", "--market", "market.json"],
-    ["analytics", "lemma4", "--n", "8", "--trials", "100"],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-    loaded[argv[0]] = "numpy" in sys.modules
-argv = "analytics lemma6 --n 16 --trials 2000 --p 0.5 --agents 3 --seed 4".split()
-assert main(argv) == 0
-loaded["lemma6"] = "numpy" in sys.modules
-print(json.dumps(loaded), file=sys.stderr)
+report = {"modules": {}, "numpy": {}}
+
+def record(step):
+    report["modules"][step] = sorted(
+        name.partition(".")[2] for name in sys.modules if name.startswith("medmatch.")
+    )
+    report["numpy"][step] = "numpy" in sys.modules
+
+import medmatch
+record("import medmatch")
+import medmatch.cli
+record("import medmatch.cli")
+for command in sys.argv[1:]:
+    argv = command.split()
+    out = sys.stdout if argv[1] == "lemma6" else io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert medmatch.cli.main(argv) == 0, argv
+    record(command)
+print(json.dumps(report), file=sys.stderr)
 """
 
+RUN = "run --config config.json --out results.csv"
+CHECK = "check stability --market market.json"
+LEMMA4 = "analytics lemma4 --n 8 --trials 100"
+LEMMA6 = "analytics lemma6 --n 16 --trials 2000 --p 0.5 --agents 3 --seed 4"
 
-def test_only_lemma6_loads_numpy(tmp_path, config_file, market_file):
+
+def cold_start(tmp_path, config_file, market_file, *commands):
+    """Run COLD_START on `commands` in tmp_path; return its report and stdout."""
     os.replace(config_file, tmp_path / "config.json")
     os.replace(market_file, tmp_path / "market.json")
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     done = subprocess.run(
-        [sys.executable, "-c", COLD_START],
+        [sys.executable, "-c", COLD_START, *commands],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr) == {
-        "import": False, "run": False, "check": False, "analytics": False, "lemma6": True
+    report = json.loads(done.stderr)
+    assert report["modules"]["import medmatch"] == []
+    assert report["modules"]["import medmatch.cli"] == ["cli", "market"]
+    return report, done.stdout
+
+
+def test_only_lemma6_loads_numpy(tmp_path, config_file, market_file):
+    report, stdout = cold_start(tmp_path, config_file, market_file, RUN, CHECK, LEMMA4, LEMMA6)
+    assert report["numpy"] == {
+        "import medmatch": False, "import medmatch.cli": False,
+        RUN: False, CHECK: False, LEMMA4: False, LEMMA6: True,
     }
     # The line lemma6 printed while numpy was imported with the package.
-    assert done.stdout == "mean 6.0510 +/- 0.0317 (2000 trials); agents/(1-p) = 6.0000\n"
+    assert stdout == "mean 6.0510 +/- 0.0317 (2000 trials); agents/(1-p) = 6.0000\n"
+
+
+@pytest.mark.parametrize(
+    "command, modules",
+    [
+        (RUN, ["analytics", "cli", "harness", "market", "mechanisms", "metrics"]),
+        (CHECK, ["cli", "market", "mechanisms", "metrics", "oracle"]),
+        (LEMMA4, ["analytics", "cli", "market"]),
+    ],
+    ids=["run", "check", "lemma4"],
+)
+def test_a_command_loads_only_the_modules_it_runs(
+    tmp_path, config_file, market_file, command, modules
+):
+    report, _ = cold_start(tmp_path, config_file, market_file, command)
+    assert report["modules"][command] == modules
+
+
+def test_package_names_are_their_modules_own_objects():
+    import medmatch
+    import medmatch.market
+
+    listed = dir(medmatch)
+    for name in medmatch.__all__:
+        value = getattr(medmatch, name)
+        # The four exported constants are strings, defined in market.
+        home = sys.modules[value.__module__] if callable(value) else medmatch.market
+        assert getattr(home, name) is value, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        medmatch.no_such_name
+
+
+def test_run_help_lists_the_presets(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
+    assert "--variation {none,small,medium,large}" in capsys.readouterr().out
+
+
+def test_run_unknown_variation_is_a_usage_error(tmp_path, capsys, config_file):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", config_file, "--variation", "huge", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'huge'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

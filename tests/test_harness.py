@@ -12,7 +12,7 @@ import medmatch.mechanisms
 import medmatch.metrics
 from conftest import scores
 from medmatch import Matching, generate_random_market, ramhecs, tomhecs
-from medmatch.analytics import PRESET_PROBABILITIES, PerturbationSpec, perturb_preferences
+from medmatch.analytics import PerturbationSpec, perturb_preferences
 from medmatch.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -24,7 +24,7 @@ from medmatch.harness import (
     summarize,
     write_atomic,
 )
-from medmatch.market import DOCTOR, PATIENT
+from medmatch.market import DOCTOR, PATIENT, PRESET_PROBABILITIES
 
 
 def small_config(**overrides):
