@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from math import ceil, log
+from struct import Struct
 
 PATIENT = "patient"
 DOCTOR = "doctor"
@@ -120,12 +122,15 @@ class CategoryMarket:
         return self.patient_prefs if side == PATIENT else self.doctor_prefs
 
     @cached_property
-    def ranks(self) -> dict[str, list[list[int | None]]]:
+    def ranks(self) -> dict[str, list[array | list[int | None]]]:
         """Per side, ranks[side][agent][counterpart]: the counterpart's
-        0-based rank on the agent's list, None when unlisted. Each side's
-        table is built on its first lookup and cached on this category
-        object. A copy made by with_prefs shares the unchanged side's table;
-        tables are never mutated.
+        0-based rank on the agent's list, None when unlisted. A row whose
+        list covers the whole opposite roster (of at most 65,536) holds no
+        None and is an array("H") of 2-byte ranks; any other row is a
+        list. Both read the same by subscript. Each side's table is built
+        on its first lookup and cached on this category object. A copy made
+        by with_prefs shares the unchanged side's table; tables are never
+        mutated.
 
         A table is read only to compare two counterparts on one agent's
         list or to test whether a counterpart is listed: by the receivers
@@ -166,16 +171,22 @@ class _RankTables(dict):
         super().__init__()
         self._sources = sources
 
-    def __missing__(self, side: str) -> list[list[int | None]]:
+    def __missing__(self, side: str) -> list[array | list[int | None]]:
         prefs, width = self._sources[side]
         # Every rank is taken from one shared list, so the tables hold
         # references to the same int objects rather than one int per entry.
         ints = list(range(width))
+        # A full row's ranks are 0 .. width - 1: they fit 2-byte unsigned
+        # slots up to width 65536. Packing the built list through one
+        # Struct is about 3x faster than array("H", table).
+        pack = Struct(f"{width}H").pack if width <= 1 << 16 else None
         tables = []
         for row in prefs:
             table = [None] * width
             for rank, counterpart in zip(ints, row):
                 table[counterpart] = rank
+            if pack is not None and len(row) == width:
+                table = array("H", pack(*table))
             tables.append(table)
         self[side] = tables
         return tables
@@ -187,7 +198,7 @@ class _SharedRankTables(_RankTables):
     once; the replaced side's is built here.
     """
 
-    def __missing__(self, side: str) -> list[list[int | None]]:
+    def __missing__(self, side: str) -> list[array | list[int | None]]:
         source = self._sources[side]
         if not isinstance(source, _RankTables):
             return super().__missing__(side)

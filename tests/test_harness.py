@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import medmatch.harness
 import medmatch.market
 import medmatch.mechanisms
 import medmatch.metrics
@@ -120,19 +121,27 @@ def test_run_experiment_does_not_validate(monkeypatch):
 
 def test_each_matching_is_scored_once(monkeypatch):
     # The paper grid with one rep: 2 mechanisms x 4 presets x 10 categories
-    # give 80 partner maps, and 2 measured sides 160 rank lists and rows.
-    calls = {"partners": 0, "partner_ranks": 0}
-    partners, partner_ranks = Matching.partners, medmatch.metrics.partner_ranks
+    # give 80 partner maps, and 2 measured sides 160 scorings and rows. Full
+    # lists on equal rosters match everyone, so no scoring takes
+    # partner_ranks' path for unmatched agents.
+    calls = {"partners": 0, "eta_zeta": 0, "partner_ranks": 0}
+    partners = Matching.partners
+    eta_zeta, partner_ranks = medmatch.harness.eta_zeta, medmatch.metrics.partner_ranks
 
     def counting_partners(self, cm):
         calls["partners"] += 1
         return partners(self, cm)
+
+    def counting_eta_zeta(*args):
+        calls["eta_zeta"] += 1
+        return eta_zeta(*args)
 
     def counting_partner_ranks(*args):
         calls["partner_ranks"] += 1
         return partner_ranks(*args)
 
     monkeypatch.setattr(Matching, "partners", counting_partners)
+    monkeypatch.setattr(medmatch.harness, "eta_zeta", counting_eta_zeta)
     monkeypatch.setattr(medmatch.metrics, "partner_ranks", counting_partner_ranks)
     config = ExperimentConfig(
         mechanisms=("ramhecs", "tomhecs"),
@@ -140,7 +149,7 @@ def test_each_matching_is_scored_once(monkeypatch):
         measured_sides=(PATIENT, DOCTOR),
     )
     assert len(run_experiment(config).rows) == 160
-    assert calls == {"partners": 80, "partner_ranks": 160}
+    assert calls == {"partners": 80, "eta_zeta": 160, "partner_ranks": 0}
 
 
 def test_row_grid_shape_and_order():

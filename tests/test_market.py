@@ -4,7 +4,9 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import weakref
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +42,21 @@ from medmatch.market import (
 )
 from medmatch.cli import main
 from medmatch.harness import ExperimentConfig, run_experiment
-from medmatch.mechanisms import RAMHECS, TOMHECS, run_categories
+from medmatch.mechanisms import (
+    RAMHECS,
+    TOMHECS,
+    Matching,
+    ramhecs_category,
+    run_categories,
+    tomhecs_category,
+)
 from medmatch.metrics import eta_zeta
-from medmatch.oracle import check_truthfulness_exhaustive
+from medmatch.oracle import (
+    _gale_shapley,
+    check_truthfulness_exhaustive,
+    enumerate_stable_matchings,
+    find_blocking_pairs,
+)
 from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS
 from test_oracle import reference_truthfulness_sweep
 
@@ -459,9 +473,10 @@ def test_generator_output_always_validates(k, n, m, partial, cut, seed):
             assert len(prefs) == len(ranks) == len(cm.roster(side))
             for row, table in zip(prefs, ranks):
                 assert type(row) is tuple and all(type(e) is int for e in row)
-                assert table == [
+                assert list(table) == [
                     row.index(c) if c in row else None for c in range(width)
                 ]
+                assert type(table) is (array if len(row) == width else list)
 
 
 def test_perturbed_category_has_its_own_view(ref_market):
@@ -511,11 +526,97 @@ def test_with_prefs_shares_the_unchanged_side(side):
     first, second = (copy, cm) if side == PATIENT else (cm, copy)
     assert first.ranks[other] is second.ranks[other]
     width = len(cm.roster(other))
-    assert copy.ranks[side] == [rank_table(row, width) for row in lists]
-    assert cm.ranks[side] == [rank_table(row, width) for row in cm.prefs(side)]
+    assert list(map(list, copy.ranks[side])) == [rank_table(row, width) for row in lists]
+    assert list(map(list, cm.ranks[side])) == [
+        rank_table(row, width) for row in cm.prefs(side)
+    ]
+    # Full lists: every row of every table is packed.
+    for category in (cm, copy):
+        assert all(type(table) is array for table in category.ranks[side])
     assert copy.ranks[side] is not cm.ranks[side]
     with pytest.raises(ValueError, match="unknown side"):
         cm.with_prefs("nurse", lists)
+
+
+def test_full_rows_are_packed_and_partial_rows_are_lists():
+    cm = category_from_rankings(
+        0,
+        [[2, 0, 1], [1], [], [0, 1, 2]],
+        [[3, 0, 1, 2], [1, 3], [0, 1, 2, 3]],
+    )
+    for side in SIDES:
+        width = len(cm.hospitals(opposite(side)))
+        for row, table in zip(cm.prefs(side), cm.ranks[side]):
+            assert list(table) == rank_table(row, width)
+            if len(row) == width:
+                assert type(table) is array and table.itemsize == 2
+            else:
+                assert type(table) is list and None in table
+
+
+def test_rows_pack_up_to_width_65536():
+    # Ranks run to width - 1, so 65536 is the widest row 2-byte slots hold.
+    for width, packed in ((1 << 16, True), ((1 << 16) + 1, False)):
+        full = tuple(range(width))[::-1]
+        tables = _RankTables({PATIENT: ((full, (0,)), width)})[PATIENT]
+        assert type(tables[0]) is (array if packed else list)
+        assert tables[0][0] == width - 1 and tables[0][width - 1] == 0
+        assert type(tables[1]) is list and tables[1][0] == 0 and tables[1][1] is None
+
+
+def test_full_doctor_table_stays_small():
+    # 512 packed rows of 1 KB each; as lists of shared ints the same table
+    # takes about 2.1 MB.
+    cm = generate_random_market(1, 512, 512, seed=3).categories[0]
+    tracemalloc.start()
+    try:
+        tables = cm.ranks[DOCTOR]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(type(table) is array for table in tables)
+    assert size < 0.7e6
+
+
+def mixed_category(seed, n=6):
+    """Full patient lists; doctors alternate full and partial lists."""
+    rng = random.Random(seed)
+    patients = [rng.sample(range(n), n) for _ in range(n)]
+    doctors = [rng.sample(range(n), n if d % 2 else rng.randint(0, n - 1)) for d in range(n)]
+    return category_from_rankings(0, patients, doctors)
+
+
+def with_list_rows(cm):
+    """A copy of cm whose rank tables hold every row as a list."""
+    twin = dataclasses.replace(cm)
+    tables = {side: [list(table) for table in cm.ranks[side]] for side in SIDES}
+    object.__setattr__(twin, "ranks", tables)
+    return twin
+
+
+def test_packed_rows_read_like_list_rows():
+    seen = {"blocking pairs": 0, "several stable matchings": 0}
+    for seed in range(40):
+        cm = mixed_category(seed)
+        twin = with_list_rows(cm)
+        assert {type(table) for table in cm.ranks[DOCTOR]} == {array, list}
+        assert {type(table) for table in twin.ranks[DOCTOR]} == {list}
+        rosters = {0: (cm.patient_hospitals, cm.doctor_hospitals)}
+        for side in SIDES:
+            assert tomhecs_category(cm, side) == tomhecs_category(twin, side)
+            assert _gale_shapley(cm, side) == _gale_shapley(twin, side)
+            matching = Matching(rosters, {0: tomhecs_category(cm, side)[0]})
+            assert find_blocking_pairs(cm, matching) == find_blocking_pairs(twin, matching) == []
+        ramhecs_result = ramhecs_category(cm, random.Random(seed))
+        assert ramhecs_result == ramhecs_category(twin, random.Random(seed))
+        matching = Matching(rosters, {0: ramhecs_result[0]})
+        blocking = find_blocking_pairs(cm, matching)
+        assert blocking == find_blocking_pairs(twin, matching)
+        stable = enumerate_stable_matchings(cm)
+        assert stable == enumerate_stable_matchings(twin)
+        seen["blocking pairs"] += bool(blocking)
+        seen["several stable matchings"] += len(stable) > 1
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("proposing_side", [PATIENT, DOCTOR])

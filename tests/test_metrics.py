@@ -230,6 +230,57 @@ def test_eta_zeta_matches_a_brute_force_scorer():
     assert all(seen.values()), seen
 
 
+def previous_eta_zeta(cm, partners, side):
+    """eta_zeta as one partner_ranks pass, before its everyone-matched path."""
+    scores = partner_ranks(cm, partners, side)
+    zeta = sum(score == 0 < len(row) for score, row in zip(scores, cm.prefs(side)))
+    return sum(scores), zeta
+
+
+def outcome(score, *args):
+    try:
+        return score(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_eta_zeta_equals_the_partner_ranks_form():
+    # The mechanisms' matchings, plus a random one per category that ignores
+    # the lists, so some partners are off them: both forms must give the
+    # same scores or the same error.
+    seen = {"all matched": 0, "unmatched": 0, "empty list": 0, "off list": 0}
+    scorings = 0
+    for seed in range(400):
+        market = random_market(seed)
+        rng = random.Random(seed)
+        rosters = {
+            cm.category: (cm.patient_hospitals, cm.doctor_hospitals) for cm in market.categories
+        }
+        pairs = {}
+        for cm in market.categories:
+            n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
+            count = rng.randint(0, min(n, m))
+            pairs[cm.category] = zip(rng.sample(range(n), count), rng.sample(range(m), count))
+        matchings = (
+            tomhecs(market, PATIENT)[0],
+            tomhecs(market, DOCTOR)[0],
+            ramhecs(market, seed=seed)[0],
+            Matching.from_pairs(rosters, pairs),
+        )
+        for cm in market.categories:
+            for matching in matchings:
+                partners = matching.partners(cm)
+                for side in (PATIENT, DOCTOR):
+                    expected = outcome(previous_eta_zeta, cm, partners, side)
+                    assert outcome(eta_zeta, cm, partners, side) == expected, (seed, side)
+                    scorings += 1
+                    unmatched = None in partners[side]
+                    seen["unmatched" if unmatched else "all matched"] += 1
+                    seen["empty list"] += unmatched and not all(cm.prefs(side))
+                    seen["off list"] += isinstance(expected, str)
+    assert scorings >= 1200 and all(seen.values()), (scorings, seen)
+
+
 def test_partner_ranks_equal_the_rank_table_lookup():
     # partner_ranks reads a partner's position on the agent's list; the rank
     # table holds the same position, and unmatched agents score the list
