@@ -15,30 +15,31 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .market import DOCTOR, PATIENT, Market, _sampler, category_from_rankings
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    side: str
-    q: float
-    seed: int | str = 0
+class PerturbationSpec(namedtuple("PerturbationSpec", "side q seed")):
+    """Which side's lists to perturb, each with probability q, and the
+    seed of the draws. Checked whenever one is built, by _replace too.
+    """
 
-    def __post_init__(self):
-        if self.side not in (PATIENT, DOCTOR):
-            raise ValueError(f"unknown side {self.side!r}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"deviation probability {self.q} outside [0, 1]")
+    __slots__ = ()
+
+    def __new__(cls, side: str, q: float, seed: int | str = 0):
+        if side not in (PATIENT, DOCTOR):
+            raise ValueError(f"unknown side {side!r}")
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"deviation probability {q} outside [0, 1]")
+        return super().__new__(cls, side, q, seed)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass
-class EstimateResult:
-    mean: float
-    trials: int
-    std_error: float
-    params: dict
+EstimateResult = namedtuple("EstimateResult", "mean trials std_error params")
 
 
 def perturb_preferences(market: Market, spec: PerturbationSpec) -> Market:
@@ -57,7 +58,7 @@ def perturb_preferences(market: Market, spec: PerturbationSpec) -> Market:
             for row in cm.prefs(spec.side)
         )
         categories.append(cm.with_prefs(spec.side, lists))
-    return replace(market, categories=tuple(categories))
+    return Market(tuple(categories), market.mode)
 
 
 def _summarize(samples, params) -> EstimateResult:

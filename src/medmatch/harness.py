@@ -13,7 +13,7 @@ import io
 import json
 import os
 import stat
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from statistics import fmean, stdev
 
 from .analytics import PerturbationSpec, perturb_preferences
@@ -72,8 +72,11 @@ _JSON_NAMES = {
 }
 
 
-@dataclass
 class ExperimentConfig:
+    """The experiment grid's settings. Each field is set by keyword, and
+    defaults to its class attribute below.
+    """
+
     k: int = 10
     n_patients: int = 20
     n_doctors: int = 20
@@ -89,6 +92,21 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "csv"
     save_matchings: bool = False
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            if name not in _FIELD_TYPES:
+                raise TypeError(f"ExperimentConfig() got an unexpected keyword argument {name!r}")
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not ExperimentConfig:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in _FIELD_TYPES)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELD_TYPES)
+        return f"ExperimentConfig({fields})"
 
     def validate(self) -> None:
         if self.k < 1:
@@ -149,31 +167,16 @@ class ExperimentConfig:
         return cls(**{name: tuple(v) if type(v) is list else v for name, v in doc.items()})
 
 
-@dataclass
-class ResultRow:
-    rep: int
-    category: int
-    mechanism: str
-    preset: str
-    deviating_party: str
-    measured_side: str
-    eta: int
-    zeta: int
-    proposals: int
-    rejections: int
-    matched_count: int
-
-
-@dataclass
-class ExperimentResult:
-    rows: list[ResultRow]
-    # (rep, mechanism, preset) -> Matching, kept only when save_matchings is set
-    matchings: dict[tuple[int, str, str], Matching] = field(default_factory=dict)
+# One row of output, its fields in CSV_COLUMNS order.
+ResultRow = namedtuple("ResultRow", CSV_COLUMNS)
+# rows, and matchings: (rep, mechanism, preset) -> Matching, kept only
+# when save_matchings is set.
+ExperimentResult = namedtuple("ExperimentResult", "rows matchings")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
-    result = ExperimentResult([])
+    result = ExperimentResult([], {})
     deviating_side = (
         config.proposing_side
         if config.deviating_party == REQUESTING
@@ -218,17 +221,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         eta, zeta = eta_zeta(cm, cm_partners, side)
                         result.rows.append(
                             ResultRow(
-                                rep=rep,
-                                category=cm.category,
-                                mechanism=mechanism,
-                                preset=preset,
-                                deviating_party=config.deviating_party,
-                                measured_side=side,
-                                eta=eta,
-                                zeta=zeta,
-                                proposals=trace.proposals,
-                                rejections=trace.rejections,
-                                matched_count=matching.matched_count(cm.category),
+                                rep,
+                                cm.category,
+                                mechanism,
+                                preset,
+                                config.deviating_party,
+                                side,
+                                eta,
+                                zeta,
+                                trace.proposals,
+                                trace.rejections,
+                                matching.matched_count(cm.category),
                             )
                         )
     return result
@@ -238,13 +241,12 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([getattr(row, col) for col in CSV_COLUMNS])
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
 def rows_to_json(rows: list[ResultRow]) -> str:
-    return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
+    return json.dumps([dict(zip(CSV_COLUMNS, row)) for row in rows], indent=2) + "\n"
 
 
 def emit(rows: list[ResultRow], fmt: str, path: str) -> None:

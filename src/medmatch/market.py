@@ -7,7 +7,8 @@ ordinals, best first, and matchings pair ordinals too. Besides its list,
 an agent has only a hospital label, held at its ordinal in its side's
 label tuple; `AgentId`s are built from those on demand, for trace events,
 reports, messages and the JSON wire format. All types are immutable after
-construction.
+construction: `Market` is a named tuple; `AgentId` and `CategoryMarket`
+are plain classes that refuse assignment.
 
 Random lists are drawn by `_sampler(rng)`, whose `sample(population, k)`
 makes the same `rng.getrandbits` calls as the standard library's
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cache, cached_property
 from math import ceil, log
 from struct import Struct
@@ -71,17 +72,41 @@ def opposite(side: str) -> str:
     raise ValueError(f"unknown side {side!r}")
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    """__setattr__ and __delattr__ of an immutable class."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class AgentId:
     """Identity of one patient or doctor within a market.
 
     The hospital label is opaque metadata and never influences matching.
+    Immutable; equal and hashed by its four fields, and never equal to a
+    tuple of them.
     """
 
-    side: str
-    category: int
-    ordinal: int
-    hospital: str = ""
+    __slots__ = ("side", "category", "ordinal", "hospital")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, side: str, category: int, ordinal: int, hospital: str = ""):
+        init = object.__setattr__
+        init(self, "side", side)
+        init(self, "category", category)
+        init(self, "ordinal", ordinal)
+        init(self, "hospital", hospital)
+
+    def _key(self) -> tuple:
+        return (self.side, self.category, self.ordinal, self.hospital)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is AgentId else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # pickle and copy rebuild it through __init__, not by assignment.
+        return AgentId, self._key()
 
     @property
     def label(self) -> str:
@@ -92,21 +117,47 @@ class AgentId:
         return f"<{self.label}@c{self.category}>"
 
 
-@dataclass(frozen=True)
 class CategoryMarket:
     """One category's hospital labels and both preference profiles.
 
     Agent a of a side is position a of that side's tuples. Rosters may have
     unequal sizes; lists may cover a strict subset of the opposite roster.
+    Immutable; equal and hashed by its five fields, never by its rank
+    tables.
     """
 
-    category: int
-    # hospitals[a] is agent a's hospital label.
-    patient_hospitals: tuple[str, ...]
-    doctor_hospitals: tuple[str, ...]
-    # prefs[a] is agent a's list as opposite-roster ordinals, best first.
-    patient_prefs: tuple[tuple[int, ...], ...]
-    doctor_prefs: tuple[tuple[int, ...], ...]
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        category: int,
+        # hospitals[a] is agent a's hospital label.
+        patient_hospitals: tuple[str, ...],
+        doctor_hospitals: tuple[str, ...],
+        # prefs[a] is agent a's list as opposite-roster ordinals, best first.
+        patient_prefs: tuple[tuple[int, ...], ...],
+        doctor_prefs: tuple[tuple[int, ...], ...],
+    ):
+        self.__dict__.update(
+            category=category,
+            patient_hospitals=patient_hospitals,
+            doctor_hospitals=doctor_hospitals,
+            patient_prefs=patient_prefs,
+            doctor_prefs=doctor_prefs,
+        )
+
+    def _key(self) -> tuple:
+        return (self.category, self.patient_hospitals, self.doctor_hospitals,
+                self.patient_prefs, self.doctor_prefs)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is CategoryMarket else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "CategoryMarket({}, {}, {}, {}, {})".format(*map(repr, self._key()))
 
     def hospitals(self, side: str) -> tuple[str, ...]:
         return self.patient_hospitals if side == PATIENT else self.doctor_hospitals
@@ -152,10 +203,12 @@ class CategoryMarket:
         builds until one of them reads it.
         """
         other = opposite(side)
-        copy = replace(self, **{f"{side}_prefs": lists})
+        prefs = {side: lists, other: self.prefs(other)}
+        copy = CategoryMarket(self.category, self.patient_hospitals, self.doctor_hospitals,
+                              prefs[PATIENT], prefs[DOCTOR])
         # ranks is a cached_property: this sets the copy's before any read.
         sources = {side: (lists, len(self.hospitals(other))), other: self.ranks}
-        object.__setattr__(copy, "ranks", _SharedRankTables(sources))
+        copy.__dict__["ranks"] = _SharedRankTables(sources)
         return copy
 
 
@@ -206,10 +259,8 @@ class _SharedRankTables(_RankTables):
         return table
 
 
-@dataclass(frozen=True)
-class Market:
-    categories: tuple[CategoryMarket, ...]
-    mode: str = FULL
+# The categories, in index order, and the list mode.
+Market = namedtuple("Market", "categories mode", defaults=(FULL,))
 
 
 def _check_prefs(cm: CategoryMarket, side: str, mode: str, out: list[str]) -> None:

@@ -11,7 +11,7 @@ identical results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import compress, islice
 
 from .market import (
@@ -31,20 +31,19 @@ TOMHECS = "tomhecs"
 MECHANISMS = (RAMHECS, TOMHECS)
 
 
-@dataclass
-class CategoryTrace:
-    category: int
-    proposals: int = 0
-    rejections: int = 0
-    outer_iterations: int = 0
+# One category's counters, set once when its mechanism run ends.
+CategoryTrace = namedtuple(
+    "CategoryTrace", "category proposals rejections outer_iterations", defaults=(0, 0, 0)
+)
 
 
-@dataclass
-class TraceStats:
-    per_category: list[CategoryTrace] = field(default_factory=list)
-    # (kind, round, proposer, receiver) tuples when tracing is requested;
-    # kind is "propose", "hold", or "reject".
-    events: list[tuple] | None = None
+class TraceStats(namedtuple("TraceStats", "per_category events", defaults=(None,))):
+    """A run's CategoryTrace per category, in category order, and, when
+    tracing is requested, its (kind, round, proposer, receiver) events;
+    kind is "propose", "hold", or "reject".
+    """
+
+    __slots__ = ()
 
     @property
     def proposals(self) -> int:
@@ -59,17 +58,15 @@ class TraceStats:
         return sum(t.outer_iterations for t in self.per_category)
 
 
-@dataclass
-class Matching:
+class Matching(namedtuple("Matching", "rosters by_category")):
     """Per category, each agent's partner ordinal per side, None when
-    unmatched ({PATIENT: [...], DOCTOR: [...]}), and the (patient, doctor)
-    hospital label tuples of the rosters those ordinals index. The
-    mechanisms' lists are stored unchecked; from_pairs checks a hand-built
-    matching once.
+    unmatched (by_category[c] is {PATIENT: [...], DOCTOR: [...]}), and the
+    (patient, doctor) hospital label tuples of the rosters those ordinals
+    index (rosters[c]). The mechanisms' lists are stored unchecked;
+    from_pairs checks a hand-built matching once.
     """
 
-    rosters: dict[int, tuple[tuple[str, ...], tuple[str, ...]]]
-    by_category: dict[int, dict[str, list[int | None]]]
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, rosters: dict, pairs_by_category: dict) -> Matching:
@@ -303,7 +300,7 @@ def run_categories(
     if proposing_side not in SIDES:
         raise ValueError(f"unknown proposing side {proposing_side!r}")
     rosters, by_category = {}, {}
-    stats = TraceStats(events=[] if record_trace else None)
+    stats = TraceStats([], [] if record_trace else None)
     for cm in market.categories:
         if mechanism == RAMHECS:
             rng = random.Random(f"{seed}:ramhecs:{cm.category}")

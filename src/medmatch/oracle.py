@@ -12,11 +12,11 @@ declines an instance raises CheckRefused.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import permutations
 
-from .market import DOCTOR, PATIENT, SIDES, AgentId, CategoryMarket, CheckRefused, opposite
+from .market import DOCTOR, PATIENT, SIDES, CategoryMarket, CheckRefused, opposite
 from .mechanisms import Matching, tomhecs_category
 from .metrics import partner_ranks
 
@@ -24,18 +24,12 @@ ENUMERATION_LIMIT = 8
 MISREPORT_LIMIT = 5
 
 
-@dataclass(frozen=True)
-class BlockingPair:
-    patient: AgentId
-    doctor: AgentId
-
-
-@dataclass
-class TruthfulnessReport:
-    proposer: AgentId
-    misreports_tried: int
-    # (misreport ranking, truthful assignment, improved assignment)
-    violations: list[tuple[tuple[AgentId, ...], AgentId | None, AgentId]]
+# Two AgentIds; equal to the (patient, doctor) tuple, as a pair of
+# Matching.pairs is.
+BlockingPair = namedtuple("BlockingPair", "patient doctor")
+# violations holds (misreport ranking, truthful assignment, improved
+# assignment) tuples of AgentIds; the truthful assignment may be None.
+TruthfulnessReport = namedtuple("TruthfulnessReport", "proposer misreports_tried violations")
 
 
 def _blocking_ordinals(

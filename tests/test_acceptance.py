@@ -173,6 +173,21 @@ def test_c07_total_distance_bound():
     report(7, f"mean total distance {result.mean:.1f} >= 64 (n^2/16 bound)")
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_c07_total_distance_exact_mean(n):
+    # Each patient's list is a uniform permutation drawn apart from which
+    # doctors are still free, so the doctor it takes sits at a uniform
+    # position of its list: mean (n-1)/2 per patient, n(n-1)/2 in total.
+    result = estimate_total_distance(n, trials=20_000, seed=2026)
+    exact = n * (n - 1) / 2
+    assert abs(result.mean - exact) <= 3 * result.std_error, (result.mean, result.std_error)
+    report(
+        7,
+        f"n={n}: mean total distance {result.mean:.3f} ~ {exact} "
+        f"(3se = {3 * result.std_error:.3f})",
+    )
+
+
 def test_c08_geometric_rejections():
     checks = [
         (0.5, 64, 1, 2.0),

@@ -25,10 +25,19 @@ def test_preset_ladder():
 
 
 def test_spec_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^deviation probability 1.5 outside \[0, 1\]$"):
         PerturbationSpec(PATIENT, 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown side 'nurse'$"):
         PerturbationSpec("nurse", 0.5)
+    # A copy made by _replace is checked too; the spec itself is immutable.
+    spec = PerturbationSpec(DOCTOR, 0.5, seed=3)
+    assert spec._replace(q=1.0) == PerturbationSpec(DOCTOR, 1.0, 3)
+    with pytest.raises(ValueError, match="outside"):
+        spec._replace(q=-0.1)
+    with pytest.raises(ValueError, match="unknown side"):
+        spec._replace(side="nurse")
+    with pytest.raises(AttributeError):
+        spec.q = 1.0
 
 
 def test_perturb_q_zero_is_identity(ref_market):

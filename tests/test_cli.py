@@ -244,13 +244,15 @@ def test_analytics_bad_parameters():
 COLD_START = """
 import contextlib, io, json, sys
 
-report = {"modules": {}, "numpy": {}}
+report = {"modules": {}, "loaded": {}}
 
 def record(step):
     report["modules"][step] = sorted(
         name.partition(".")[2] for name in sys.modules if name.startswith("medmatch.")
     )
-    report["numpy"][step] = "numpy" in sys.modules
+    report["loaded"][step] = [
+        name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules
+    ]
 
 import medmatch
 record("import medmatch")
@@ -291,12 +293,23 @@ def cold_start(tmp_path, config_file, market_file, *commands):
 
 def test_only_lemma6_loads_numpy(tmp_path, config_file, market_file):
     report, stdout = cold_start(tmp_path, config_file, market_file, RUN, CHECK, LEMMA4, LEMMA6)
-    assert report["numpy"] == {
+    assert {step: "numpy" in loaded for step, loaded in report["loaded"].items()} == {
         "import medmatch": False, "import medmatch.cli": False,
         RUN: False, CHECK: False, LEMMA4: False, LEMMA6: True,
     }
     # The line lemma6 printed while numpy was imported with the package.
     assert stdout == "mean 6.0510 +/- 0.0317 (2000 trials); agents/(1-p) = 6.0000\n"
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, config_file, market_file):
+    # dataclasses imports inspect (and with it ast, dis and tokenize): a
+    # start-up cost every match process would pay before matching anything.
+    # The three commands run in turn in one interpreter, so each report
+    # holds what all commands up to it loaded.
+    report, _ = cold_start(tmp_path, config_file, market_file, RUN, CHECK, LEMMA4)
+    assert report["loaded"] == {
+        "import medmatch": [], "import medmatch.cli": [], RUN: [], CHECK: [], LEMMA4: [],
+    }
 
 
 @pytest.mark.parametrize(

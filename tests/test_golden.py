@@ -1,7 +1,7 @@
-"""Golden output: `match run` CSV, stdout and saved-matchings bytes, and the
-`store_market` wire format, are pinned across commits.
+"""Golden output: `match run` CSV, JSON, stdout and saved-matchings bytes,
+and the `store_market` wire format, are pinned across commits.
 
-The `match run` digests were recorded from the code before the integer-view
+The `match run` CSV digests were recorded from the code before the integer-view
 refactor, the `store_market` digests from the code before preference lists
 were stored as ordinals, the saved-matchings digests from the code before
 matchings held ordinal pairs; any change to them is a change to byte-identical
@@ -72,6 +72,26 @@ def test_match_run_saved_matchings_bytes(name, tmp_path, monkeypatch):
     assert main(["run", "--config", "config.json", "--out", "results.csv"]) == 0
     side = (tmp_path / "results.csv.matchings.json").read_bytes()
     assert hashlib.sha256(side).hexdigest() == SAVED_MATCHINGS[name]
+
+
+# sha256 of results.json from `match run --format json` on each CASES
+# config, recorded while result rows were still dataclasses written
+# through dataclasses.asdict.
+JSON_ROWS = {
+    "full": "b48fa2d0a5473846ce4e041acc0bf9de1ccc3fd6bcdd82276fac9363e932c77a",
+    "partial-unequal": "03857d551b07c9d1ff09a637d0b20c31913d790e4d0db5a8d9dc29ea90f13a70",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_ROWS))
+def test_match_run_json_output_bytes(name, tmp_path, monkeypatch):
+    config, _ = CASES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["run", "--config", "config.json", "--out", "results.json", "--format", "json"]
+    assert main(argv) == 0
+    rows = (tmp_path / "results.json").read_bytes()
+    assert hashlib.sha256(rows).hexdigest() == JSON_ROWS[name]
 
 
 STORED = {

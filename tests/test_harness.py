@@ -1,7 +1,6 @@
 import json
 import os
 import stat
-from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +25,12 @@ from medmatch.harness import (
     write_atomic,
 )
 from medmatch.market import DOCTOR, PATIENT, PRESET_PROBABILITIES
+
+
+def config_fields(config=ExperimentConfig):
+    """Each field of ExperimentConfig, as its class annotates them, with
+    its value in config (by default, the class's default)."""
+    return {name: getattr(config, name) for name in ExperimentConfig.__annotations__}
 
 
 def small_config(**overrides):
@@ -57,8 +62,20 @@ def test_config_validation():
         ExperimentConfig.from_dict({"bogus_key": 1})
     small_config(mode="partial", list_length=2).validate()
     # Every field has a JSON type, and the defaults as JSON pass it.
-    defaults = json.loads(json.dumps(asdict(ExperimentConfig())))
+    defaults = json.loads(json.dumps(config_fields(ExperimentConfig())))
     assert ExperimentConfig.from_dict(defaults) == ExperimentConfig()
+
+
+def test_config_fields_are_keywords_with_class_defaults():
+    config = ExperimentConfig(k=3)
+    assert config_fields(config) == {**config_fields(), "k": 3}
+    assert config == ExperimentConfig(k=3) and config != ExperimentConfig()
+    with pytest.raises(TypeError, match="'bogus'"):
+        ExperimentConfig(bogus=1)
+    # match run's flags set fields in place; the defaults stay.
+    config.seed = 7
+    assert config.seed == 7 and ExperimentConfig().seed == 0
+    assert repr(ExperimentConfig(seed="s")).startswith("ExperimentConfig(k=10, n_patients=20,")
 
 
 # Every value a config field accepts, each of the wrong JSON types, and
@@ -74,7 +91,7 @@ CONFIG_VALUES = st.sampled_from(
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(
     st.dictionaries(
-        st.sampled_from((*(f.name for f in fields(ExperimentConfig)), "bogus")),
+        st.sampled_from((*config_fields(), "bogus")),
         CONFIG_VALUES,
     )
     | CONFIG_VALUES
@@ -208,7 +225,7 @@ def test_emit_failure_leaves_the_old_file(tmp_path):
     out.write_text("old\n")
     rows = run_experiment(small_config()).rows
     # A lone surrogate cannot be encoded as UTF-8: the write fails midway.
-    bad = rows[:1] + [replace(rows[1], mechanism="\ud800")] + rows[2:]
+    bad = rows[:1] + [rows[1]._replace(mechanism="\ud800")] + rows[2:]
     with pytest.raises(UnicodeEncodeError):
         emit(bad, "csv", str(out))
     assert out.read_text() == "old\n"

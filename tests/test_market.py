@@ -1,12 +1,13 @@
-import dataclasses
 import gc
 import json
 import math
+import pickle
 import random
 import re
 import tracemalloc
 import weakref
 from array import array
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,16 @@ from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS
 from test_oracle import reference_truthfulness_sweep
 
 
+CATEGORY_FIELDS = (
+    "category", "patient_hospitals", "doctor_hospitals", "patient_prefs", "doctor_prefs"
+)
+
+
+def edit(cm, **changes):
+    """A new CategoryMarket with cm's fields, but for those in changes."""
+    return CategoryMarket(**{**{name: getattr(cm, name) for name in CATEGORY_FIELDS}, **changes})
+
+
 def test_reference_market_is_valid(ref_market):
     assert validate_market(ref_market) == []
 
@@ -74,7 +85,7 @@ def test_duplicate_entry_is_reported(ref_market):
     cm = ref_market.categories[0]
     row = cm.patient_prefs[0]
     dup = row[:3] + (row[0],)
-    broken = dataclasses.replace(
+    broken = edit(
         cm, patient_prefs=(dup,) + cm.patient_prefs[1:]
     )
     violations = validate_market(Market((broken,), FULL))
@@ -88,7 +99,7 @@ def test_malformed_preference_list_is_rejected(ref_market, bad):
     # p1's list is (3, 2, 0, 1). 4 is len(roster): one past the last doctor.
     # A negative ordinal would otherwise index from the end of a rank table.
     cm = ref_market.categories[0]
-    market = Market((dataclasses.replace(cm, patient_prefs=(bad,) + cm.patient_prefs[1:]),))
+    market = Market((edit(cm, patient_prefs=(bad,) + cm.patient_prefs[1:]),))
     violations = validate_market(market)
     assert any(v.startswith("<p1@c0>: ") for v in violations), violations
     for run in (
@@ -103,7 +114,7 @@ def test_malformed_preference_list_is_rejected(ref_market, bad):
 def test_category_index_must_be_an_int(index):
     # Both equal 1, the position they sit at, yet neither is an index.
     first, second = generate_random_market(2, 3, 3, seed=1).categories
-    market = Market((first, dataclasses.replace(second, category=index)))
+    market = Market((first, edit(second, category=index)))
     assert validate_market(market) == [
         f"category index {index} at position 1: indices must be contiguous from 0"
     ]
@@ -139,7 +150,7 @@ def test_a_hospital_label_that_is_not_a_str_is_reported_and_never_stored(ref_cat
     # A category built by hand can still hold one; load_market would
     # refuse any document holding it.
     labels = (1,) + ref_category.hospitals(side)[1:]
-    cm = dataclasses.replace(ref_category, **{f"{side}_hospitals": labels})
+    cm = edit(ref_category, **{f"{side}_hospitals": labels})
     market = Market((cm,))
     violation = f"{AgentId(side, 0, 0)!r}: hospital label 1 is not a str"
     assert validate_market(market) == [violation]
@@ -216,7 +227,7 @@ def test_store_market_refuses_a_side_with_more_or_fewer_lists_than_labels(side, 
 @pytest.mark.parametrize("index", [1, -1, True, 0.0])
 def test_store_market_refuses_a_category_index_other_than_its_position(index):
     # 1 would reload as out of place, true and 0.0 as not an integer.
-    cm = dataclasses.replace(market_from_rankings([[0]], [[0]]).categories[0], category=index)
+    cm = edit(market_from_rankings([[0]], [[0]]).categories[0], category=index)
     market = Market((cm,))
     assert validate_market(market) == [
         f"category index {index} at position 0: indices must be contiguous from 0"
@@ -243,9 +254,12 @@ def test_store_market_refuses_a_short_list_in_full_mode(side):
 
 
 def agent_ids_in(value):
-    """How many AgentIds value holds, through nested tuples and lists."""
+    """How many AgentIds value holds, through nested tuples, lists and
+    dict values."""
     if isinstance(value, AgentId):
         return 1
+    if isinstance(value, dict):
+        value = list(value.values())
     if isinstance(value, (tuple, list)):
         return sum(map(agent_ids_in, value))
     return 0
@@ -264,8 +278,11 @@ def test_categories_hold_no_agent_ids(ref_market):
     categories = [cm for market in made for cm in market.categories]
     categories.append(category_from_rankings(1, [[0, 1]], [[0], [0]], ["a"], ["b", "c"]))
     for cm in categories:
-        for field in dataclasses.fields(cm):
-            assert agent_ids_in(getattr(cm, field.name)) == 0, field.name
+        # Every attribute the category holds, its rank tables too once built.
+        cm.ranks[PATIENT], cm.ranks[DOCTOR]
+        assert set(CATEGORY_FIELDS) < set(vars(cm))
+        for name, value in vars(cm).items():
+            assert agent_ids_in(value) == 0, name
 
 
 def test_untraced_runs_build_no_agent_ids(monkeypatch):
@@ -294,7 +311,7 @@ def test_untraced_runs_build_no_agent_ids(monkeypatch):
 def test_short_list_rejected_in_full_mode(ref_market):
     cm = ref_market.categories[0]
     short = cm.patient_prefs[0][:2]
-    broken = dataclasses.replace(cm, patient_prefs=(short,) + cm.patient_prefs[1:])
+    broken = edit(cm, patient_prefs=(short,) + cm.patient_prefs[1:])
     assert validate_market(Market((broken,), FULL))
     # The same lists are fine when the market is declared partial.
     assert validate_market(Market((broken,), PARTIAL)) == []
@@ -361,16 +378,16 @@ def mutate_category(cm, rng):
     )
     if kind == "category index":
         index = rng.choice((True, 1.0, float("nan"), -1, cm.category + 1))
-        return dataclasses.replace(cm, category=index)
+        return edit(cm, category=index)
     if kind == "roster length":
         # One label past, or one short of, the side's lists.
         labels = cm.hospitals(side)
         labels = labels + ("x",) if not labels or rng.random() < 0.5 else labels[:-1]
-        return dataclasses.replace(cm, **{f"{side}_hospitals": labels})
+        return edit(cm, **{f"{side}_hospitals": labels})
     if kind == "hospital label" and cm.hospitals(side):
         labels = list(cm.hospitals(side))
         labels[rng.randrange(len(labels))] = rng.choice((1, None, 1.5, True, b"h1"))
-        return dataclasses.replace(cm, **{f"{side}_hospitals": tuple(labels)})
+        return edit(cm, **{f"{side}_hospitals": tuple(labels)})
     if kind == "row count" and prefs:
         prefs.pop()
     elif prefs and kind != "none":
@@ -390,7 +407,7 @@ def mutate_category(cm, rng):
             elif kind == "short" and row:
                 row.pop(rng.randrange(len(row)))
             prefs[agent] = tuple(row)
-    return dataclasses.replace(cm, **{f"{side}_prefs": tuple(prefs)})
+    return edit(cm, **{f"{side}_prefs": tuple(prefs)})
 
 
 def test_validation_messages_match_the_per_entry_loop():
@@ -418,6 +435,12 @@ def test_generator_is_deterministic():
     assert a == b
     c = generate_random_market(1, 4, 4, seed=8)
     assert a != c
+
+
+def test_generator_default_seed_is_zero():
+    default = generate_random_market(2, 4, 4)
+    assert default == generate_random_market(2, 4, 4, seed=0)
+    assert default != generate_random_market(2, 4, 4, seed=1)
 
 
 def test_generator_category_count_and_shape():
@@ -588,9 +611,9 @@ def mixed_category(seed, n=6):
 
 def with_list_rows(cm):
     """A copy of cm whose rank tables hold every row as a list."""
-    twin = dataclasses.replace(cm)
-    tables = {side: [list(table) for table in cm.ranks[side]] for side in SIDES}
-    object.__setattr__(twin, "ranks", tables)
+    twin = edit(cm)
+    # ranks is a cached_property: this sets the twin's before any read.
+    vars(twin)["ranks"] = {side: [list(table) for table in cm.ranks[side]] for side in SIDES}
     return twin
 
 
@@ -617,6 +640,74 @@ def test_packed_rows_read_like_list_rows():
         seen["blocking pairs"] += bool(blocking)
         seen["several stable matchings"] += len(stable) > 1
     assert all(seen.values()), seen
+
+
+def test_agent_id_is_an_immutable_value():
+    agent = AgentId(PATIENT, 0, 0, "h1")
+    twin = AgentId(PATIENT, 0, 0, "h1")
+    assert agent == twin and hash(agent) == hash(twin) and len({agent, twin}) == 1
+    assert AgentId(DOCTOR, 2, 4) == AgentId(DOCTOR, 2, 4, "")
+    for other in (
+        AgentId(DOCTOR, 0, 0, "h1"),
+        AgentId(PATIENT, 1, 0, "h1"),
+        AgentId(PATIENT, 0, 1, "h1"),
+        AgentId(PATIENT, 0, 0, "h2"),
+    ):
+        assert agent != other
+    # Never equal to the tuple of its fields, from either side.
+    fields = (PATIENT, 0, 0, "h1")
+    assert agent != fields and fields != agent
+    assert fields not in {agent} and agent not in {fields}
+    for name in ("side", "category", "ordinal", "hospital", "label", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(agent, name, 1)
+    with pytest.raises(AttributeError):
+        del agent.ordinal
+    assert (agent.side, agent.category, agent.ordinal, agent.hospital) == fields
+    assert repr(agent) == "<p1@c0>" and repr(AgentId(DOCTOR, 2, 4)) == "<d5@c2>"
+    for twin in (pickle.loads(pickle.dumps(agent)), deepcopy(agent)):
+        assert type(twin) is AgentId and twin == agent and twin.hospital == "h1"
+
+
+def test_category_equality_compares_its_fields_not_its_tables():
+    cm = mixed_category(3)
+    twin = edit(cm)
+    assert cm == twin and hash(cm) == hash(twin)
+    # Rank tables built on one only, and held as lists on another.
+    listed = with_list_rows(cm)
+    assert list(twin.ranks) == [] and cm == twin == listed
+    assert hash(cm) == hash(twin) == hash(listed)
+    changed = {
+        "category": 1,
+        "patient_hospitals": ("x",) + cm.patient_hospitals[1:],
+        "doctor_hospitals": cm.doctor_hospitals[:-1] + ("x",),
+        "patient_prefs": (cm.patient_prefs[0][::-1],) + cm.patient_prefs[1:],
+        "doctor_prefs": cm.doctor_prefs[:-1] + (cm.doctor_prefs[-1][::-1],),
+    }
+    assert set(changed) == set(CATEGORY_FIELDS)
+    for name, value in changed.items():
+        assert getattr(cm, name) != value, name
+        assert edit(cm, **{name: value}) != cm, name
+    fields = tuple(getattr(cm, name) for name in CATEGORY_FIELDS)
+    assert cm != fields and fields != cm
+    assert eval(repr(cm), {"CategoryMarket": CategoryMarket}) == cm
+    market = Market((cm,), PARTIAL)
+    assert pickle.loads(pickle.dumps(market)) == deepcopy(market) == market
+    for name in (*CATEGORY_FIELDS, "ranks", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cm, name, None)
+        with pytest.raises(AttributeError):
+            delattr(cm, name)
+    assert cm == twin and sorted(cm.ranks) == sorted(SIDES)
+
+
+def test_market_is_a_named_pair_whose_mode_defaults_to_full(ref_category):
+    market = Market((ref_category,))
+    assert market.mode == FULL and market == Market((ref_category,), FULL)
+    assert market != Market((ref_category,), PARTIAL)
+    assert market.categories == (ref_category,) and Market(()).mode == FULL
+    with pytest.raises(AttributeError):
+        market.mode = PARTIAL
 
 
 @pytest.mark.parametrize("proposing_side", [PATIENT, DOCTOR])

@@ -29,7 +29,7 @@ def full_scan_deferred_acceptance(cm, proposing_side=PATIENT, events=None):
     tomhecs_category: every round scans the whole proposer roster for the
     free proposers. O(rounds x roster); same counters and events.
     """
-    trace = CategoryTrace(cm.category)
+    proposals = rejections = rounds = 0
     proposers = cm.roster(proposing_side)
     receivers = cm.roster(opposite(proposing_side))
     prefs = cm.prefs(proposing_side)
@@ -46,39 +46,39 @@ def full_scan_deferred_acceptance(cm, proposing_side=PATIENT, events=None):
             r = prefs[p][next_choice[p]]
             next_choice[p] += 1
             proposed = True
-            trace.proposals += 1
+            proposals += 1
             if events is not None:
-                events.append(("propose", trace.outer_iterations + 1, proposers[p], receivers[r]))
+                events.append(("propose", rounds + 1, proposers[p], receivers[r]))
             if ranks[r][p] is None:
-                trace.rejections += 1
+                rejections += 1
                 if events is not None:
-                    events.append(("reject", trace.outer_iterations + 1, proposers[p], receivers[r]))
+                    events.append(("reject", rounds + 1, proposers[p], receivers[r]))
                 continue
             offers.setdefault(r, []).append(p)
         if not proposed:
             break
-        trace.outer_iterations += 1
+        rounds += 1
         for r, candidates in offers.items():
             if holder[r] is not None:
                 candidates.append(holder[r])
             best = min(candidates, key=ranks[r].__getitem__)
             for c in candidates:
                 if c != best:
-                    trace.rejections += 1
+                    rejections += 1
                     engaged_to[c] = None
                     if events is not None:
-                        events.append(("reject", trace.outer_iterations, proposers[c], receivers[r]))
+                        events.append(("reject", rounds, proposers[c], receivers[r]))
             if holder[r] != best:
                 holder[r] = best
                 engaged_to[best] = r
                 if events is not None:
-                    events.append(("hold", trace.outer_iterations, proposers[best], receivers[r]))
+                    events.append(("hold", rounds, proposers[best], receivers[r]))
     pairs = [
         (proposers[p], receivers[r]) if proposing_side == PATIENT else (receivers[r], proposers[p])
         for p, r in enumerate(engaged_to)
         if r is not None
     ]
-    return frozenset(pairs), trace
+    return frozenset(pairs), CategoryTrace(cm.category, proposals, rejections, rounds)
 
 
 def ordinal_partners(cm, pairs):
@@ -95,7 +95,7 @@ def set_scan_ramhecs(cm, rng):
     list against a set of free doctors and the doctor rank table. O(n) per
     draw; same pairs, counters and RNG draws.
     """
-    trace = CategoryTrace(cm.category)
+    proposals = draws = 0
     prefs = cm.patient_prefs
     doctor_ranks = cm.ranks[DOCTOR]
     patients, doctors = cm.roster(PATIENT), cm.roster(DOCTOR)
@@ -103,7 +103,7 @@ def set_scan_ramhecs(cm, rng):
     active = list(range(len(patients)))
     pairs = []
     while active:
-        trace.outer_iterations += 1
+        draws += 1
         pos = rng.randrange(len(active))
         t = active[pos]
         candidates = [
@@ -113,11 +113,11 @@ def set_scan_ramhecs(cm, rng):
             active.pop(pos)
             continue
         d = rng.choice(candidates)
-        trace.proposals += 1
+        proposals += 1
         pairs.append((patients[t], doctors[d]))
         active.pop(pos)
         available.remove(d)
-    return frozenset(pairs), trace
+    return frozenset(pairs), CategoryTrace(cm.category, proposals, 0, draws)
 
 
 def test_tomhecs_reference_final_matching(ref_market):

@@ -483,7 +483,7 @@ def immediate_acceptance(cm, proposing_side=PATIENT, events=None, *, prefs=None)
     that round's proposers it lists. Lists are read as tomhecs_category
     reads them: by index, in order, up to the final partner.
     """
-    trace = CategoryTrace(cm.category)
+    proposals = rounds = 0
     if prefs is None:
         prefs = cm.prefs(proposing_side)
     ranks = cm.ranks[opposite(proposing_side)]
@@ -491,12 +491,12 @@ def immediate_acceptance(cm, proposing_side=PATIENT, events=None, *, prefs=None)
     held = {}  # receiver -> the proposer it accepted
     free = [p for p in range(len(prefs)) if len(prefs[p])]
     while free:
-        trace.outer_iterations += 1
+        rounds += 1
         offers = {}
         for p in free:
             r = prefs[p][next_choice[p]]
             next_choice[p] += 1
-            trace.proposals += 1
+            proposals += 1
             if r not in held and ranks[r][p] is not None:
                 offers.setdefault(r, []).append(p)
         for r, proposers in offers.items():
@@ -506,6 +506,7 @@ def immediate_acceptance(cm, proposing_side=PATIENT, events=None, *, prefs=None)
     partner, holder = [None] * len(prefs), [None] * len(ranks)
     for r, p in held.items():
         partner[p], holder[r] = r, p
+    trace = CategoryTrace(cm.category, proposals, outer_iterations=rounds)
     return {proposing_side: partner, opposite(proposing_side): holder}, trace
 
 
