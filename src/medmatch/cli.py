@@ -23,20 +23,22 @@ import functools
 import json
 import sys
 
-from .market import DOCTOR, PATIENT, PRESET_PROBABILITIES, CheckRefused, load_market
+from .market import FORMATS, PATIENT, PRESET_PROBABILITIES, SIDES, CheckRefused, load_market
 
 
 def _add_run(subparsers):
     p = subparsers.add_parser("run", help="run the experiment grid from a config file")
     p.add_argument("--config", required=True, help="JSON config file")
-    p.add_argument("--seed", default=None)
-    p.add_argument("--mechanism", action="append", default=None)
-    p.add_argument("--side", choices=(PATIENT, DOCTOR), default=None)
-    p.add_argument("--variation", action="append", default=None,
+    # Each flag's dest is the config field it sets; a flag not given is None.
+    p.add_argument("--seed")
+    p.add_argument("--mechanism", dest="mechanisms", metavar="MECHANISM", action="append")
+    p.add_argument("--side", dest="proposing_side", choices=SIDES)
+    p.add_argument("--variation", dest="presets", action="append",
                    choices=tuple(PRESET_PROBABILITIES))
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    p.add_argument("--reps", dest="repetitions", metavar="REPS", type=int)
+    # An empty --out is not given: the config's out stands.
+    p.add_argument("--out", type=lambda path: path or None)
+    p.add_argument("--format", dest="fmt", choices=FORMATS)
     p.set_defaults(func=cmd_run)
 
 
@@ -44,7 +46,7 @@ def _add_check(subparsers):
     p = subparsers.add_parser("check", help="verify mechanism properties on a market")
     p.add_argument("property", choices=("stability", "optimality", "truthfulness"))
     p.add_argument("--market", required=True, help="market JSON file")
-    p.add_argument("--side", choices=(PATIENT, DOCTOR), default=PATIENT)
+    p.add_argument("--side", choices=SIDES, default=PATIENT)
     p.set_defaults(func=cmd_check)
 
 
@@ -91,20 +93,9 @@ def cmd_run(args) -> int:
             # JSONDecodeError, or an integer past the digit limit.
             raise harness.ConfigError(f"invalid config JSON: {exc}") from exc
     config = harness.ExperimentConfig.from_dict(doc)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.mechanism:
-        config.mechanisms = tuple(args.mechanism)
-    if args.side:
-        config.proposing_side = args.side
-    if args.variation:
-        config.presets = tuple(args.variation)
-    if args.reps is not None:
-        config.repetitions = args.reps
-    if args.out:
-        config.out = args.out
-    if args.fmt:
-        config.fmt = args.fmt
+    for name, value in vars(args).items():
+        if value is not None and name in vars(config):
+            setattr(config, name, tuple(value) if type(value) is list else value)
     out = config.out or "results.csv"
     result = harness.run_experiment(config)
     harness.emit(result.rows, config.fmt, out)
@@ -161,23 +152,23 @@ def cmd_check(args) -> int:
 def cmd_analytics(args) -> int:
     from . import analytics
 
+    n = args.n
     if args.model == "lemma4":
-        result = analytics.estimate_first_pick_distance(args.n, args.trials, args.seed)
-        reference = (args.n - 1) / 2
-        label = "(n-1)/2"
+        result = analytics.estimate_first_pick_distance(n, args.trials, args.seed)
+        references = {"(n-1)/2": (n - 1) / 2}
     elif args.model == "lemma5":
-        result = analytics.estimate_total_distance(args.n, args.trials, args.seed)
-        reference = args.n * args.n / 16
-        label = "n^2/16 lower bound"
+        result = analytics.estimate_total_distance(n, args.trials, args.seed)
+        # The exact mean, and the paper's lower bound.
+        references = {"n(n-1)/2": n * (n - 1) / 2, "n^2/16 lower bound": n * n / 16}
     else:
         result = analytics.simulate_geometric_rejections(
-            args.p, args.n, args.trials, args.seed, args.agents
+            args.p, n, args.trials, args.seed, args.agents
         )
-        reference = args.agents / (1 - args.p)
-        label = "agents/(1-p)"
+        references = {"agents/(1-p)": args.agents / (1 - args.p)}
     print(
-        f"mean {result.mean:.4f} +/- {result.std_error:.4f} "
-        f"({result.trials} trials); {label} = {reference:.4f}"
+        f"mean {result.mean:.4f} +/- {result.std_error:.4f} ({result.trials} trials)",
+        *(f"{label} = {value:.4f}" for label, value in references.items()),
+        sep="; ",
     )
     return 0
 

@@ -4,6 +4,9 @@ Each repetition generates a fresh random market, applies each variation
 preset to the designated party, runs each mechanism, and scores the result
 against the TRUE (unperturbed) preferences. Identical configs produce
 byte-identical output files.
+
+The grid's settings are one ExperimentConfig, whose fields are declared once,
+in _FIELDS: each one's default, JSON types and allowed values.
 """
 
 from __future__ import annotations
@@ -15,15 +18,17 @@ import os
 import stat
 from collections import namedtuple
 from statistics import fmean, stdev
+from types import SimpleNamespace
 
 from .analytics import PerturbationSpec, perturb_preferences
 from .market import (
-    DOCTOR,
+    FORMATS,
     FULL,
     MODES,
     PARTIAL,
     PATIENT,
     PRESET_PROBABILITIES,
+    SIDES,
     generate_random_market,
     opposite,
 )
@@ -52,16 +57,27 @@ class ConfigError(ValueError):
     pass
 
 
-# The parsed JSON types each config field accepts. Types match exactly, so
-# true/false is never an integer; every array must hold strings.
-_FIELD_TYPES = {
-    **dict.fromkeys(("k", "n_patients", "n_doctors", "repetitions"), (int,)),
-    **dict.fromkeys(("mode", "proposing_side", "deviating_party", "fmt"), (str,)),
-    **dict.fromkeys(("mechanisms", "measured_sides", "presets"), (list,)),
-    "list_length": (int, type(None)),
-    "seed": (int, str),
-    "out": (str, type(None)),
-    "save_matchings": (bool,),
+# A config field: its default, the parsed JSON types it accepts, and for a
+# field with named values, the values allowed and the noun that words an
+# unknown one. Types match exactly, so true/false is never an integer; every
+# array must hold strings, and every array field is a grid axis.
+_Field = namedtuple("_Field", "default kinds choices noun", defaults=(None, None))
+_FIELDS = {
+    "k": _Field(10, (int,)),
+    "n_patients": _Field(20, (int,)),
+    "n_doctors": _Field(20, (int,)),
+    "mode": _Field(FULL, (str,), MODES, "mode"),
+    "list_length": _Field(None, (int, type(None))),
+    "mechanisms": _Field(("ramhecs", "tomhecs"), (list,), MECHANISMS, "mechanism"),
+    "proposing_side": _Field(PATIENT, (str,), SIDES, "proposing side"),
+    "measured_sides": _Field((PATIENT,), (list,), SIDES, "measured side"),
+    "presets": _Field(("none",), (list,), PRESET_PROBABILITIES, "variation preset"),
+    "deviating_party": _Field(REQUESTING, (str,), (REQUESTING, REQUESTED), "deviating party"),
+    "repetitions": _Field(1, (int,)),
+    "seed": _Field(0, (int, str)),
+    "out": _Field(None, (str, type(None))),
+    "fmt": _Field(FORMATS[0], (str,), FORMATS, "output format"),
+    "save_matchings": _Field(False, (bool,)),
 }
 _JSON_NAMES = {
     int: "an integer",
@@ -72,41 +88,18 @@ _JSON_NAMES = {
 }
 
 
-class ExperimentConfig:
+class ExperimentConfig(SimpleNamespace):
     """The experiment grid's settings. Each field is set by keyword, and
-    defaults to its class attribute below.
+    defaults to its entry in _FIELDS.
     """
 
-    k: int = 10
-    n_patients: int = 20
-    n_doctors: int = 20
-    mode: str = FULL
-    list_length: int | None = None
-    mechanisms: tuple[str, ...] = ("ramhecs", "tomhecs")
-    proposing_side: str = PATIENT
-    measured_sides: tuple[str, ...] = (PATIENT,)
-    presets: tuple[str, ...] = ("none",)
-    deviating_party: str = REQUESTING
-    repetitions: int = 1
-    seed: int | str = 0
-    out: str | None = None
-    fmt: str = "csv"
-    save_matchings: bool = False
-
     def __init__(self, **fields):
-        for name, value in fields.items():
-            if name not in _FIELD_TYPES:
-                raise TypeError(f"ExperimentConfig() got an unexpected keyword argument {name!r}")
-            setattr(self, name, value)
-
-    def __eq__(self, other):
-        if type(other) is not ExperimentConfig:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in _FIELD_TYPES)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELD_TYPES)
-        return f"ExperimentConfig({fields})"
+        super().__init__(
+            **{name: fields.pop(name, field.default) for name, field in _FIELDS.items()}
+        )
+        if fields:
+            name = next(iter(fields))
+            raise TypeError(f"ExperimentConfig() got an unexpected keyword argument {name!r}")
 
     def validate(self) -> None:
         if self.k < 1:
@@ -118,7 +111,8 @@ class ExperimentConfig:
         # An empty grid axis yields no rows, and an empty result has no summary.
         # A repeated entry would run its grid cells twice, and summarize
         # would add both copies into one repetition's totals.
-        for name in ("mechanisms", "measured_sides", "presets"):
+        axes = [name for name, field in _FIELDS.items() if field.kinds == (list,)]
+        for name in axes:
             values = getattr(self, name)
             if not values:
                 raise ConfigError(f"config field {name!r} must not be empty")
@@ -127,38 +121,28 @@ class ExperimentConfig:
                     raise ConfigError(f"config field {name!r} repeats {value!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
+        # An unknown mode is neither, and is reported below.
         if self.mode == PARTIAL and self.list_length is None:
             raise ConfigError("partial mode requires list_length")
         if self.mode == FULL and self.list_length is not None:
             raise ConfigError("list_length is only meaningful in partial mode")
-        for mech in self.mechanisms:
-            if mech not in MECHANISMS:
-                raise ConfigError(f"unknown mechanism {mech!r}")
-        if self.proposing_side not in (PATIENT, DOCTOR):
-            raise ConfigError(f"unknown proposing side {self.proposing_side!r}")
-        for side in self.measured_sides:
-            if side not in (PATIENT, DOCTOR):
-                raise ConfigError(f"unknown measured side {side!r}")
-        for preset in self.presets:
-            if preset not in PRESET_PROBABILITIES:
-                raise ConfigError(f"unknown variation preset {preset!r}")
-        if self.deviating_party not in (REQUESTING, REQUESTED):
-            raise ConfigError(f"unknown deviating party {self.deviating_party!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
+        for name, field in _FIELDS.items():
+            if field.choices is not None:
+                value = getattr(self, name)
+                for choice in value if name in axes else (value,):
+                    if choice not in field.choices:
+                        raise ConfigError(f"unknown {field.noun} {choice!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Build a config from parsed JSON; reject unknown keys and wrong types."""
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - set(_FIELD_TYPES)
+        unknown = set(doc) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for name, value in doc.items():
-            kinds = _FIELD_TYPES[name]
+            kinds = _FIELDS[name].kinds
             if type(value) not in kinds or (
                 type(value) is list and not all(isinstance(v, str) for v in value)
             ):
@@ -250,13 +234,9 @@ def rows_to_json(rows: list[ResultRow]) -> str:
 
 
 def emit(rows: list[ResultRow], fmt: str, path: str) -> None:
-    if fmt == "csv":
-        payload = rows_to_csv(rows)
-    elif fmt == "json":
-        payload = rows_to_json(rows)
-    else:
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
-    write_atomic(path, payload)
+    write_atomic(path, rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows))
 
 
 def write_atomic(path: str, text: str) -> None:

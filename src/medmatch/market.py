@@ -43,6 +43,9 @@ PRESET_PROBABILITIES = {
     "large": 1 / 2,
 }
 
+# `match run`'s output formats: the config's fmt and --format's choices.
+FORMATS = ("csv", "json")
+
 
 class InvalidMarketError(ValueError):
     """A mechanism was handed a market that fails validation."""

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_reference_market
 from medmatch import generate_random_market, store_market
-from medmatch import cli, mechanisms
+from medmatch import cli, harness, mechanisms
 from medmatch.cli import main
 
 
@@ -49,7 +49,7 @@ def test_run_writes_csv(tmp_path, config_file, capsys):
     assert "tomhecs" in capsys.readouterr().out
 
 
-def test_run_overrides(tmp_path, config_file):
+def test_run_overrides(tmp_path, config_file, monkeypatch):
     out = tmp_path / "results.json"
     code = main(
         [
@@ -74,6 +74,43 @@ def test_run_overrides(tmp_path, config_file):
     records = json.loads(out.read_text())
     assert len(records) == 2  # 1 rep x 1 mechanism x 1 preset x 2 categories
     assert {r["mechanism"] for r in records} == {"tomhecs"}
+
+    # Each flag replaces its own field and no other; an absent flag keeps
+    # the file's value, and so does an empty --out.
+    doc = {"k": 2, "n_patients": 4, "n_doctors": 4, "mechanisms": ["ramhecs"],
+           "proposing_side": "doctor", "presets": ["small"], "repetitions": 2,
+           "seed": 7, "out": "file.json", "fmt": "json"}
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps(doc))
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise harness.ConfigError("captured")
+
+    monkeypatch.setattr(harness, "run_experiment", capture)
+    cases = [
+        ([], {}),
+        (["--seed", "99"], {"seed": "99"}),
+        (["--seed", ""], {"seed": ""}),
+        (["--mechanism", "tomhecs", "--mechanism", "ramhecs"],
+         {"mechanisms": ("tomhecs", "ramhecs")}),
+        (["--side", "patient"], {"proposing_side": "patient"}),
+        (["--variation", "large", "--variation", "none"], {"presets": ("large", "none")}),
+        (["--reps", "5"], {"repetitions": 5}),
+        (["--reps", "0"], {"repetitions": 0}),
+        (["--out", "flag.csv"], {"out": "flag.csv"}),
+        (["--out", ""], {}),
+        (["--format", "csv"], {"fmt": "csv"}),
+        (["--reps", "3", "--format", "csv", "--seed", "s"],
+         {"repetitions": 3, "fmt": "csv", "seed": "s"}),
+    ]
+    for flags, changed in cases:
+        assert main(["run", "--config", str(path), *flags]) == 1
+        expected = harness.ExperimentConfig.from_dict(doc)
+        for name, value in changed.items():
+            setattr(expected, name, value)
+        assert seen.pop() == expected, flags
 
 
 def test_run_rejects_bad_config(tmp_path):
@@ -131,6 +168,96 @@ def test_run_rejects_a_repeated_grid_entry(tmp_path, capsys, doc, flags, field, 
     err = capsys.readouterr().err
     assert f"config field {field!r} repeats {value!r}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# One document per rule of ExperimentConfig.from_dict and validate(), then
+# documents with two faults, which pin the fault reported first.
+CONFIG_REFUSALS = [
+    ([], "config must be a JSON object"),
+    ({"bogus": 1}, "unknown config keys: ['bogus']"),
+    ({"k": "3"}, "config field 'k' must be an integer, not '3'"),
+    ({"k": True}, "config field 'k' must be an integer, not True"),
+    ({"n_patients": 2.5}, "config field 'n_patients' must be an integer, not 2.5"),
+    ({"n_doctors": None}, "config field 'n_doctors' must be an integer, not None"),
+    ({"mode": 1}, "config field 'mode' must be a string, not 1"),
+    ({"list_length": "2"},
+     "config field 'list_length' must be an integer or null, not '2'"),
+    ({"mechanisms": "tomhecs"},
+     "config field 'mechanisms' must be an array of strings, not 'tomhecs'"),
+    ({"mechanisms": ["tomhecs", 1]},
+     "config field 'mechanisms' must be an array of strings, not ['tomhecs', 1]"),
+    ({"proposing_side": ["patient"]},
+     "config field 'proposing_side' must be a string, not ['patient']"),
+    ({"measured_sides": "patient"},
+     "config field 'measured_sides' must be an array of strings, not 'patient'"),
+    ({"presets": {}}, "config field 'presets' must be an array of strings, not {}"),
+    ({"deviating_party": None},
+     "config field 'deviating_party' must be a string, not None"),
+    ({"repetitions": 2.0}, "config field 'repetitions' must be an integer, not 2.0"),
+    ({"seed": [1]}, "config field 'seed' must be an integer or a string, not [1]"),
+    ({"out": 1}, "config field 'out' must be a string or null, not 1"),
+    ({"fmt": None}, "config field 'fmt' must be a string, not None"),
+    ({"save_matchings": 1}, "config field 'save_matchings' must be a boolean, not 1"),
+    ({"k": 0}, "config field 'k' must be at least 1, not 0"),
+    ({"n_patients": -1}, "config field 'n_patients' must be non-negative, not -1"),
+    ({"n_doctors": -2}, "config field 'n_doctors' must be non-negative, not -2"),
+    ({"mechanisms": []}, "config field 'mechanisms' must not be empty"),
+    ({"measured_sides": []}, "config field 'measured_sides' must not be empty"),
+    ({"presets": []}, "config field 'presets' must not be empty"),
+    ({"mechanisms": ["tomhecs", "tomhecs"]},
+     "config field 'mechanisms' repeats 'tomhecs'"),
+    ({"measured_sides": ["doctor", "patient", "doctor"]},
+     "config field 'measured_sides' repeats 'doctor'"),
+    ({"presets": ["none", "none"]}, "config field 'presets' repeats 'none'"),
+    ({"repetitions": 0}, "repetitions must be >= 1"),
+    ({"mode": "sparse"}, "unknown mode 'sparse'"),
+    ({"mode": "partial"}, "partial mode requires list_length"),
+    ({"list_length": 2}, "list_length is only meaningful in partial mode"),
+    ({"mechanisms": ["foo"]}, "unknown mechanism 'foo'"),
+    ({"proposing_side": "nurse"}, "unknown proposing side 'nurse'"),
+    ({"measured_sides": ["patient", "nurse"]}, "unknown measured side 'nurse'"),
+    ({"presets": ["huge"]}, "unknown variation preset 'huge'"),
+    ({"deviating_party": "both"}, "unknown deviating party 'both'"),
+    ({"fmt": "xml"}, "unknown output format 'xml'"),
+    # Two faults: the first rule in the order above is the one reported.
+    ({"k": "3", "bogus": 1}, "unknown config keys: ['bogus']"),
+    ({"seed": [1], "k": "3"}, "config field 'seed' must be an integer or a string, not [1]"),
+    ({"k": 0, "bogus": "x"}, "unknown config keys: ['bogus']"),
+    ({"repetitions": 0, "k": "3"}, "config field 'k' must be an integer, not '3'"),
+    ({"n_patients": -1, "k": 0}, "config field 'k' must be at least 1, not 0"),
+    ({"n_doctors": -1, "n_patients": -1},
+     "config field 'n_patients' must be non-negative, not -1"),
+    ({"presets": [], "n_doctors": -1},
+     "config field 'n_doctors' must be non-negative, not -1"),
+    ({"mechanisms": [], "repetitions": 0}, "config field 'mechanisms' must not be empty"),
+    ({"presets": [], "measured_sides": []},
+     "config field 'measured_sides' must not be empty"),
+    ({"mechanisms": ["foo", "foo"]}, "config field 'mechanisms' repeats 'foo'"),
+    ({"presets": ["huge", "none", "none"], "mechanisms": ["foo"]},
+     "config field 'presets' repeats 'none'"),
+    ({"mode": "sparse", "repetitions": 0}, "repetitions must be >= 1"),
+    ({"mode": "sparse", "list_length": 2}, "unknown mode 'sparse'"),
+    ({"mode": "partial", "mechanisms": ["foo"]}, "partial mode requires list_length"),
+    ({"list_length": 2, "fmt": "xml"}, "list_length is only meaningful in partial mode"),
+    ({"mechanisms": ["foo"], "proposing_side": "nurse"}, "unknown mechanism 'foo'"),
+    ({"proposing_side": "nurse", "measured_sides": ["nurse"]},
+     "unknown proposing side 'nurse'"),
+    ({"measured_sides": ["nurse"], "presets": ["huge"]}, "unknown measured side 'nurse'"),
+    ({"presets": ["huge"], "deviating_party": "both"}, "unknown variation preset 'huge'"),
+    ({"deviating_party": "both", "fmt": "xml"}, "unknown deviating party 'both'"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message", CONFIG_REFUSALS, ids=[json.dumps(doc) for doc, _ in CONFIG_REFUSALS]
+)
+def test_run_refuses_a_config_fault(tmp_path, capsys, doc, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -222,7 +349,8 @@ def test_analytics_lemma4(capsys):
 
 def test_analytics_lemma5(capsys):
     assert main(["analytics", "lemma5", "--n", "8", "--trials", "500"]) == 0
-    assert "n^2/16" in capsys.readouterr().out
+    # The exact mean beside the paper's bound.
+    assert "; n(n-1)/2 = 28.0000; n^2/16 lower bound = 4.0000\n" in capsys.readouterr().out
 
 
 def test_analytics_lemma6(capsys):

@@ -27,10 +27,13 @@ from medmatch.harness import (
 from medmatch.market import DOCTOR, PATIENT, PRESET_PROBABILITIES
 
 
-def config_fields(config=ExperimentConfig):
-    """Each field of ExperimentConfig, as its class annotates them, with
-    its value in config (by default, the class's default)."""
-    return {name: getattr(config, name) for name in ExperimentConfig.__annotations__}
+def config_fields(config=None):
+    """Each field of ExperimentConfig, as the harness's field table declares
+    them, with its value in config (by default, the table's default)."""
+    return {
+        name: field.default if config is None else getattr(config, name)
+        for name, field in medmatch.harness._FIELDS.items()
+    }
 
 
 def small_config(**overrides):
