@@ -88,9 +88,23 @@ _JSON_NAMES = {
 }
 
 
+def _check_kind(name: str, value) -> None:
+    """Refuse a value whose type its field does not accept. An array field
+    takes a list (from JSON) or a tuple (by keyword) of strings."""
+    kinds = _FIELDS[name].kinds
+    if kinds == (list,):
+        fits = type(value) in (list, tuple) and all(isinstance(v, str) for v in value)
+    else:
+        fits = type(value) in kinds
+    if not fits:
+        expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
+        raise ConfigError(f"config field {name!r} must be {expected}, not {value!r}")
+
+
 class ExperimentConfig(SimpleNamespace):
     """The experiment grid's settings. Each field is set by keyword, and
-    defaults to its entry in _FIELDS.
+    defaults to its entry in _FIELDS. validate() checks every field's type
+    as from_dict does, so a keyword-built config is refused alike.
     """
 
     def __init__(self, **fields):
@@ -102,6 +116,8 @@ class ExperimentConfig(SimpleNamespace):
             raise TypeError(f"ExperimentConfig() got an unexpected keyword argument {name!r}")
 
     def validate(self) -> None:
+        for name in _FIELDS:
+            _check_kind(name, getattr(self, name))
         if self.k < 1:
             raise ConfigError(f"config field 'k' must be at least 1, not {self.k!r}")
         for name in ("n_patients", "n_doctors"):
@@ -142,12 +158,7 @@ class ExperimentConfig(SimpleNamespace):
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for name, value in doc.items():
-            kinds = _FIELDS[name].kinds
-            if type(value) not in kinds or (
-                type(value) is list and not all(isinstance(v, str) for v in value)
-            ):
-                expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
-                raise ConfigError(f"config field {name!r} must be {expected}, not {value!r}")
+            _check_kind(name, value)
         return cls(**{name: tuple(v) if type(v) is list else v for name, v in doc.items()})
 
 

@@ -385,36 +385,27 @@ def market_from_rankings(
 
 
 @cache
-def _sample_plan(n: int, k: int) -> tuple[tuple[int, range], ...] | None:
+def _sample_plan(n: int, k: int) -> tuple[tuple[int, int], ...] | None:
     """How Random.sample(population, k) draws from n items: None for its
-    set branch; for its pool branch, per band of draw widths, the bits and
-    the range of pool positions filled at that width, last first.
+    set branch; for its pool branch, one (bits, last) pair per draw, last
+    running from n - 1 down to n - k and bits = (last + 1).bit_length(),
+    the width of _randbelow(last + 1)'s getrandbits calls.
 
     The standard library takes the pool branch when an n-item list is
-    smaller than a k-item set. Its draw below the pool size s takes
-    s.bit_length() bits, so the width only changes where s falls below a
-    power of two, and each band of sizes shares one width.
+    smaller than a k-item set.
     """
     setsize = 21
     if k > 5:
         setsize += 4 ** ceil(log(k * 3, 4))
     if n > setsize:
         return None
-    plan = []
-    stop = n - k
-    size = n
-    while size > stop:
-        bits = size.bit_length()
-        band_end = max(stop, (1 << (bits - 1)) - 1)
-        plan.append((bits, range(size - 1, band_end - 1, -1)))
-        size = band_end
-    return tuple(plan)
+    return tuple(((last + 1).bit_length(), last) for last in range(n - 1, n - k - 1, -1))
 
 
 def _sampler(rng: random.Random):
     """Return sample(population, k), CPython's Random.sample algorithm with
     rng.getrandbits bound once, the _randbelow rejection loop inlined and
-    the branch and draw widths read from the cached _sample_plan(n, k).
+    the branch and each draw's width read from the cached _sample_plan(n, k).
 
     Draw for draw it makes the same getrandbits calls as Random.sample, so
     it returns the same items, as a tuple, and leaves rng in the same state.
@@ -427,16 +418,15 @@ def _sampler(rng: random.Random):
             raise ValueError("Sample larger than population or is negative")
         plan = _sample_plan(n, k)
         if plan is not None:
-            # Pool branch: the i-th draw picks below the unselected prefix
-            # pool[:last + 1], last = n - 1 - i, and swaps the pick into
-            # pool[last]. The picks fill the tail, last first.
+            # Pool branch: each draw picks below the unselected prefix
+            # pool[:last + 1] and swaps the pick into pool[last]. The picks
+            # fill the tail, last first.
             pool = list(population)
-            for bits, lasts in plan:
-                for last in lasts:
+            for bits, last in plan:
+                j = getrandbits(bits)
+                while j > last:
                     j = getrandbits(bits)
-                    while j > last:
-                        j = getrandbits(bits)
-                    pool[j], pool[last] = pool[last], pool[j]
+                pool[j], pool[last] = pool[last], pool[j]
             return tuple(pool[n - k :][::-1])
         # Set branch: redraw an index below n until it is unselected.
         bits = n.bit_length()

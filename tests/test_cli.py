@@ -123,13 +123,9 @@ def test_run_rejects_bad_config(tmp_path):
     "doc, field",
     [
         ({"k": "3"}, "k"),
-        ({"repetitions": 2.5}, "repetitions"),
         ({"mechanisms": "tomhecs"}, "mechanisms"),
         ({"measured_sides": "patient"}, "measured_sides"),
         ({"seed": [1]}, "seed"),
-        ({"k": -1}, "k"),
-        ({"n_patients": -2}, "n_patients"),
-        ({"n_doctors": -3}, "n_doctors"),
         ({"presets": []}, "presets"),
         ({"mechanisms": []}, "mechanisms"),
         ({"measured_sides": []}, "measured_sides"),
@@ -179,6 +175,7 @@ CONFIG_REFUSALS = [
     ({"k": "3"}, "config field 'k' must be an integer, not '3'"),
     ({"k": True}, "config field 'k' must be an integer, not True"),
     ({"n_patients": 2.5}, "config field 'n_patients' must be an integer, not 2.5"),
+    ({"repetitions": 2.5}, "config field 'repetitions' must be an integer, not 2.5"),
     ({"n_doctors": None}, "config field 'n_doctors' must be an integer, not None"),
     ({"mode": 1}, "config field 'mode' must be a string, not 1"),
     ({"list_length": "2"},
@@ -200,8 +197,11 @@ CONFIG_REFUSALS = [
     ({"fmt": None}, "config field 'fmt' must be a string, not None"),
     ({"save_matchings": 1}, "config field 'save_matchings' must be a boolean, not 1"),
     ({"k": 0}, "config field 'k' must be at least 1, not 0"),
+    ({"k": -1}, "config field 'k' must be at least 1, not -1"),
     ({"n_patients": -1}, "config field 'n_patients' must be non-negative, not -1"),
     ({"n_doctors": -2}, "config field 'n_doctors' must be non-negative, not -2"),
+    ({"n_patients": -2}, "config field 'n_patients' must be non-negative, not -2"),
+    ({"n_doctors": -3}, "config field 'n_doctors' must be non-negative, not -3"),
     ({"mechanisms": []}, "config field 'mechanisms' must not be empty"),
     ({"measured_sides": []}, "config field 'measured_sides' must not be empty"),
     ({"presets": []}, "config field 'presets' must not be empty"),

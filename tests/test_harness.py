@@ -106,6 +106,37 @@ def test_random_config_documents_raise_only_config_error(doc):
         pass
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(tuple(config_fields())), CONFIG_VALUES))
+def test_random_keyword_configs_raise_only_config_error(fields):
+    try:
+        ExperimentConfig(**fields).validate()
+    except ConfigError:
+        pass
+
+
+# Keyword-built configs of a wrong type, each refused in from_dict's words.
+MISTYPED_KEYWORDS = [
+    ({"k": "3"}, "config field 'k' must be an integer, not '3'"),
+    ({"presets": ([],)}, "config field 'presets' must be an array of strings, not ([],)"),
+    ({"repetitions": 2.5}, "config field 'repetitions' must be an integer, not 2.5"),
+    ({"mechanisms": "tomhecs"},
+     "config field 'mechanisms' must be an array of strings, not 'tomhecs'"),
+    ({"seed": 1.5}, "config field 'seed' must be an integer or a string, not 1.5"),
+    ({"save_matchings": 1}, "config field 'save_matchings' must be a boolean, not 1"),
+    ({"k": True}, "config field 'k' must be an integer, not True"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, message", MISTYPED_KEYWORDS, ids=[repr(fields) for fields, _ in MISTYPED_KEYWORDS]
+)
+def test_run_experiment_refuses_a_mistyped_keyword_config(fields, message):
+    with pytest.raises(ConfigError) as err:
+        run_experiment(small_config(**fields))
+    assert str(err.value) == message
+
+
 def test_single_rep_matches_direct_calls():
     config = small_config()
     rows = run_experiment(config).rows

@@ -1275,9 +1275,13 @@ def sampler_cases():
         for k in sorted({*range(7), 21, 22, 85, 86, 341, 342, 1000, n - 1, n}):
             if 0 <= k <= n:
                 yield n, k
-    # The band edges of the pool branch's draw width: k == n, and each k
-    # that leaves n - k at 2**b - 1 or 2**b, the ends of a band's range of
-    # pool positions.
+    # Every small case: each pool size up to 64, and both sides of the
+    # pool/set switch at n = 21/22 for k <= 5.
+    for n in range(65):
+        for k in range(n + 1):
+            yield n, k
+    # Where the pool branch's draw width changes: k == n, and each k that
+    # leaves n - k at 2**b - 1 or 2**b.
     for n in (31, 32, 33, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025):
         rest = {(1 << b) - d for b in range(n.bit_length() + 1) for d in (0, 1)}
         for k in sorted({n} | {n - r for r in rest if 0 <= r <= n}):
