@@ -5,9 +5,9 @@ index, independent geometric rejections) and the randomized mechanism's
 concrete dynamics; each converges to a known closed form that the tests pin
 at three standard errors.
 
-numpy is imported only by `simulate_geometric_rejections`, and the
-mechanisms only by `estimate_total_distance`, each on its first call, so
-`analytics lemma4` loads neither and only `analytics lemma6` loads numpy.
+numpy is imported only by `simulate_geometric_rejections`, and the mechanisms
+and metrics only by `estimate_total_distance`, each on its first call, so
+`analytics lemma4` loads none of them and only `analytics lemma6` loads numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class PerturbationSpec(namedtuple("PerturbationSpec", "side q seed")):
         return cls(*iterable)
 
 
-EstimateResult = namedtuple("EstimateResult", "mean trials std_error params")
+EstimateResult = namedtuple("EstimateResult", "mean trials std_error")
 
 
 def perturb_preferences(market: Market, spec: PerturbationSpec) -> Market:
@@ -61,10 +61,10 @@ def perturb_preferences(market: Market, spec: PerturbationSpec) -> Market:
     return Market(tuple(categories), market.mode)
 
 
-def _summarize(samples, params) -> EstimateResult:
+def _summarize(samples) -> EstimateResult:
     mean = statistics.fmean(samples)
     se = statistics.stdev(samples) / math.sqrt(len(samples)) if len(samples) > 1 else 0.0
-    return EstimateResult(mean, len(samples), se, params)
+    return EstimateResult(mean, len(samples), se)
 
 
 def estimate_first_pick_distance(
@@ -79,7 +79,7 @@ def estimate_first_pick_distance(
         raise ValueError("trials must be >= 1")
     rng = random.Random(f"{seed}:first-pick")
     samples = [rng.randrange(n) for _ in range(trials)]
-    return _summarize(samples, {"n": n, "model": "uniform-pick"})
+    return _summarize(samples)
 
 
 def estimate_total_distance(
@@ -100,6 +100,7 @@ def estimate_total_distance(
     if model not in ("mechanism", "stylized"):
         raise ValueError(f"unknown model {model!r}")
     from .mechanisms import ramhecs_category
+    from .metrics import partner_ranks
 
     rng = random.Random(f"{seed}:total-distance")
     sample = _sampler(rng)
@@ -115,8 +116,8 @@ def estimate_total_distance(
         # matches every patient.
         cm = category_from_rankings(0, prefs, [doctors] * n)
         partners, _ = ramhecs_category(cm, rng)
-        samples.append(sum(row.index(d) for row, d in zip(prefs, partners[PATIENT])))
-    return _summarize(samples, {"n": n, "model": model})
+        samples.append(sum(partner_ranks(cm, partners, PATIENT)))
+    return _summarize(samples)
 
 
 def simulate_geometric_rejections(
@@ -152,6 +153,4 @@ def simulate_geometric_rejections(
         totals[start : start + count] = draws.sum(axis=(1, 2))
     mean = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return EstimateResult(
-        mean, trials, se, {"p": p, "horizon": horizon, "agents": agents}
-    )
+    return EstimateResult(mean, trials, se)

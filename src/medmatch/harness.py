@@ -142,6 +142,14 @@ class ExperimentConfig(SimpleNamespace):
             raise ConfigError("partial mode requires list_length")
         if self.mode == FULL and self.list_length is not None:
             raise ConfigError("list_length is only meaningful in partial mode")
+        length = self.list_length
+        if self.mode == PARTIAL and length < 0:
+            raise ConfigError(f"config field 'list_length' must be non-negative, not {length!r}")
+        if self.mode == PARTIAL and length > min(self.n_patients, self.n_doctors):
+            raise ConfigError(
+                "config field 'list_length' must not exceed a roster size "
+                f"({self.n_patients} patients, {self.n_doctors} doctors), not {length!r}"
+            )
         for name, field in _FIELDS.items():
             if field.choices is not None:
                 value = getattr(self, name)

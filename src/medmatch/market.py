@@ -211,24 +211,30 @@ class CategoryMarket:
                               prefs[PATIENT], prefs[DOCTOR])
         # ranks is a cached_property: this sets the copy's before any read.
         sources = {side: (lists, len(self.hospitals(other))), other: self.ranks}
-        copy.__dict__["ranks"] = _SharedRankTables(sources)
+        copy.__dict__["ranks"] = _RankTables(sources)
         return copy
 
 
 class _RankTables(dict):
     """Side -> rank table, each built on its first lookup.
 
-    It holds the lists it builds from, never their category, so a category
-    and its tables form no reference cycle and are freed by reference
-    counting alone.
+    A side's source is its lists and their width or, for the side a
+    with_prefs copy shares, the original's _RankTables, where the lookup
+    goes: whichever category reads that side first builds it, once. Neither
+    holds a category, so a category and its tables form no reference cycle
+    and are freed by reference counting alone.
     """
 
-    def __init__(self, sources: dict[str, tuple[tuple[tuple[int, ...], ...], int]]):
+    def __init__(self, sources: dict[str, tuple[tuple, int] | _RankTables]):
         super().__init__()
         self._sources = sources
 
     def __missing__(self, side: str) -> list[array | list[int | None]]:
-        prefs, width = self._sources[side]
+        source = self._sources[side]
+        if isinstance(source, _RankTables):
+            table = self[side] = source[side]
+            return table
+        prefs, width = source
         # Every rank is taken from one shared list, so the tables hold
         # references to the same int objects rather than one int per entry.
         ints = list(range(width))
@@ -246,20 +252,6 @@ class _RankTables(dict):
             tables.append(table)
         self[side] = tables
         return tables
-
-
-class _SharedRankTables(_RankTables):
-    """A with_prefs copy's tables. The unchanged side's source is the
-    original's tables, so whichever category reads it first builds it there,
-    once; the replaced side's is built here.
-    """
-
-    def __missing__(self, side: str) -> list[array | list[int | None]]:
-        source = self._sources[side]
-        if not isinstance(source, _RankTables):
-            return super().__missing__(side)
-        table = self[side] = source[side]
-        return table
 
 
 # The categories, in index order, and the list mode.

@@ -23,6 +23,11 @@ def partner_ranks(
     """
     lists = cm.prefs(side)
     try:
+        # One C-level pass; an unmatched agent (None) or an unlisted partner fails it.
+        return list(map(tuple.index, lists, partners[side]))
+    except ValueError:
+        pass
+    try:
         return [
             len(row) if partner is None else row.index(partner)
             for partner, row in zip(partners[side], lists)
@@ -47,19 +52,7 @@ def eta_zeta(
     partners is as in partner_ranks. An unmatched agent contributes its
     full list length to eta: one worse than its last-ranked choice.
     """
-    lists = cm.prefs(side)
-    try:
-        scores = list(map(tuple.index, lists, partners[side]))
-    except ValueError:
-        # An unmatched agent (None is on no list) or a partner off its
-        # list: partner_ranks scores the one and words the other.
-        pass
-    else:
-        # Everyone is matched, so every list is non-empty and every score
-        # of 0 is a first choice.
-        return sum(scores), scores.count(0)
     scores = partner_ranks(cm, partners, side)
-    # Score 0 is a first choice only on a non-empty list: an unmatched
-    # agent with an empty list scores 0 as well.
-    zeta = sum(score == 0 < len(row) for score, row in zip(scores, lists))
-    return sum(scores), zeta
+    # An agent with an empty list is always unmatched and scores 0, but has
+    # no first choice.
+    return sum(scores), scores.count(0) - cm.prefs(side).count(())

@@ -214,13 +214,13 @@ def check_truthfulness_exhaustive(
     counterparts = cm.roster(opposite(proposing_side))
     proposers = cm.roster(proposing_side)
     prefs = cm.prefs(proposing_side)
-    truthful = tomhecs_category(cm, proposing_side)[0][proposing_side]
+    truthful = tomhecs_category(cm, proposing_side)[0]
+    # Scored on the TRUE lists; being unmatched scores the list length.
+    truthful_scores = partner_ranks(cm, truthful, proposing_side)
     reports = []
     for idx, (agent, row) in enumerate(zip(proposers, prefs)):
-        partner = truthful[idx]
+        partner = truthful[proposing_side][idx]
         truthful_partner = None if partner is None else counterparts[partner]
-        # Scored on the TRUE list; being unmatched scores the list length.
-        truthful_score = len(row) if partner is None else row.index(partner)
         before, after = prefs[:idx], prefs[idx + 1 :]
         violations = []
         tried = 0
@@ -233,7 +233,7 @@ def check_truthfulness_exhaustive(
                 partners, _ = tomhecs_category(cm, proposing_side, prefs=before + (perm,) + after)
                 new_partner = partners[proposing_side][idx]
                 read = perm if new_partner is None else perm[: perm.index(new_partner) + 1]
-            if new_partner is not None and row.index(new_partner) < truthful_score:
+            if new_partner is not None and row.index(new_partner) < truthful_scores[idx]:
                 misreport = tuple(counterparts[e] for e in perm)
                 violations.append((misreport, truthful_partner, counterparts[new_partner]))
         reports.append(TruthfulnessReport(agent, tried, violations))

@@ -113,36 +113,6 @@ def test_run_overrides(tmp_path, config_file, monkeypatch):
         assert seen.pop() == expected, flags
 
 
-def test_run_rejects_bad_config(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"repetitions": 0}))
-    assert main(["run", "--config", bad.as_posix(), "--out", str(tmp_path / "x.csv")]) == 1
-
-
-@pytest.mark.parametrize(
-    "doc, field",
-    [
-        ({"k": "3"}, "k"),
-        ({"mechanisms": "tomhecs"}, "mechanisms"),
-        ({"measured_sides": "patient"}, "measured_sides"),
-        ({"seed": [1]}, "seed"),
-        ({"presets": []}, "presets"),
-        ({"mechanisms": []}, "mechanisms"),
-        ({"measured_sides": []}, "measured_sides"),
-        ({"k": 0}, "k"),
-    ],
-    ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
-)
-def test_run_rejects_mistyped_config(tmp_path, capsys, doc, field):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
-    err = capsys.readouterr().err
-    assert repr(field) in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "x.csv").exists()
-
-
 @pytest.mark.parametrize(
     "doc, flags, field, value",
     [
@@ -214,6 +184,10 @@ CONFIG_REFUSALS = [
     ({"mode": "sparse"}, "unknown mode 'sparse'"),
     ({"mode": "partial"}, "partial mode requires list_length"),
     ({"list_length": 2}, "list_length is only meaningful in partial mode"),
+    ({"mode": "partial", "list_length": -1},
+     "config field 'list_length' must be non-negative, not -1"),
+    ({"mode": "partial", "list_length": 30},
+     "config field 'list_length' must not exceed a roster size (20 patients, 20 doctors), not 30"),
     ({"mechanisms": ["foo"]}, "unknown mechanism 'foo'"),
     ({"proposing_side": "nurse"}, "unknown proposing side 'nurse'"),
     ({"measured_sides": ["patient", "nurse"]}, "unknown measured side 'nurse'"),
@@ -240,6 +214,8 @@ CONFIG_REFUSALS = [
     ({"mode": "sparse", "list_length": 2}, "unknown mode 'sparse'"),
     ({"mode": "partial", "mechanisms": ["foo"]}, "partial mode requires list_length"),
     ({"list_length": 2, "fmt": "xml"}, "list_length is only meaningful in partial mode"),
+    ({"mode": "partial", "list_length": 5, "n_doctors": 4, "mechanisms": ["foo"]},
+     "config field 'list_length' must not exceed a roster size (20 patients, 4 doctors), not 5"),
     ({"mechanisms": ["foo"], "proposing_side": "nurse"}, "unknown mechanism 'foo'"),
     ({"proposing_side": "nurse", "measured_sides": ["nurse"]},
      "unknown proposing side 'nurse'"),
@@ -348,9 +324,11 @@ def test_analytics_lemma4(capsys):
 
 
 def test_analytics_lemma5(capsys):
-    assert main(["analytics", "lemma5", "--n", "8", "--trials", "500"]) == 0
-    # The exact mean beside the paper's bound.
-    assert "; n(n-1)/2 = 28.0000; n^2/16 lower bound = 4.0000\n" in capsys.readouterr().out
+    assert main(["analytics", "lemma5", "--n", "8", "--trials", "200", "--seed", "3"]) == 0
+    # The sample mean at a stated seed, beside the exact mean and the paper's bound.
+    assert capsys.readouterr().out == (
+        "mean 28.0400 +/- 0.4551 (200 trials); n(n-1)/2 = 28.0000; n^2/16 lower bound = 4.0000\n"
+    )
 
 
 def test_analytics_lemma6(capsys):
@@ -398,6 +376,7 @@ print(json.dumps(report), file=sys.stderr)
 RUN = "run --config config.json --out results.csv"
 CHECK = "check stability --market market.json"
 LEMMA4 = "analytics lemma4 --n 8 --trials 100"
+LEMMA5 = "analytics lemma5 --n 8 --trials 100"
 LEMMA6 = "analytics lemma6 --n 16 --trials 2000 --p 0.5 --agents 3 --seed 4"
 
 
@@ -446,8 +425,9 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path, config_file, market_f
         (RUN, ["analytics", "cli", "harness", "market", "mechanisms", "metrics"]),
         (CHECK, ["cli", "market", "mechanisms", "metrics", "oracle"]),
         (LEMMA4, ["analytics", "cli", "market"]),
+        (LEMMA5, ["analytics", "cli", "market", "mechanisms", "metrics"]),
     ],
-    ids=["run", "check", "lemma4"],
+    ids=["run", "check", "lemma4", "lemma5"],
 )
 def test_a_command_loads_only_the_modules_it_runs(
     tmp_path, config_file, market_file, command, modules

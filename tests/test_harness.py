@@ -115,7 +115,8 @@ def test_random_keyword_configs_raise_only_config_error(fields):
         pass
 
 
-# Keyword-built configs of a wrong type, each refused in from_dict's words.
+# Keyword-built configs of a wrong type or out of range, each refused in
+# from_dict's words.
 MISTYPED_KEYWORDS = [
     ({"k": "3"}, "config field 'k' must be an integer, not '3'"),
     ({"presets": ([],)}, "config field 'presets' must be an array of strings, not ([],)"),
@@ -125,6 +126,8 @@ MISTYPED_KEYWORDS = [
     ({"seed": 1.5}, "config field 'seed' must be an integer or a string, not 1.5"),
     ({"save_matchings": 1}, "config field 'save_matchings' must be a boolean, not 1"),
     ({"k": True}, "config field 'k' must be an integer, not True"),
+    ({"mode": "partial", "list_length": 30},
+     "config field 'list_length' must not exceed a roster size (4 patients, 4 doctors), not 30"),
 ]
 
 
@@ -172,9 +175,8 @@ def test_run_experiment_does_not_validate(monkeypatch):
 
 def test_each_matching_is_scored_once(monkeypatch):
     # The paper grid with one rep: 2 mechanisms x 4 presets x 10 categories
-    # give 80 partner maps, and 2 measured sides 160 scorings and rows. Full
-    # lists on equal rosters match everyone, so no scoring takes
-    # partner_ranks' path for unmatched agents.
+    # give 80 partner maps, and 2 measured sides 160 scorings and rows, each
+    # scoring one partner_ranks call.
     calls = {"partners": 0, "eta_zeta": 0, "partner_ranks": 0}
     partners = Matching.partners
     eta_zeta, partner_ranks = medmatch.harness.eta_zeta, medmatch.metrics.partner_ranks
@@ -200,7 +202,7 @@ def test_each_matching_is_scored_once(monkeypatch):
         measured_sides=(PATIENT, DOCTOR),
     )
     assert len(run_experiment(config).rows) == 160
-    assert calls == {"partners": 80, "eta_zeta": 160, "partner_ranks": 0}
+    assert calls == {"partners": 80, "eta_zeta": 160, "partner_ranks": 160}
 
 
 def test_row_grid_shape_and_order():

@@ -761,7 +761,9 @@ def test_patient_proposing_paths_build_no_patient_table(monkeypatch, tmp_path, l
     build = _RankTables.__missing__
 
     def spy(tables, side):
-        built.append(side)
+        # Only a lookup whose source is lists builds a table.
+        if not isinstance(tables._sources[side], _RankTables):
+            built.append(side)
         return build(tables, side)
 
     monkeypatch.setattr(_RankTables, "__missing__", spy)
@@ -792,7 +794,9 @@ def test_perturbed_receivers_build_no_proposer_table(monkeypatch, list_length):
     build = _RankTables.__missing__
 
     def spy(tables, side):
-        built.append(side)
+        # Only a lookup whose source is lists builds a table.
+        if not isinstance(tables._sources[side], _RankTables):
+            built.append(side)
         return build(tables, side)
 
     monkeypatch.setattr(_RankTables, "__missing__", spy)

@@ -84,12 +84,16 @@ def test_unmatched_agents_score_list_length():
 
 
 def test_partner_absent_from_list_is_an_error():
-    partial = market_from_rankings([[0], [1]], [[0], [1]], mode="partial")
-    cm = partial.categories[0]
-    # Force a pair that is not on the patient's list.
-    bogus = Matching.from_pairs({0: (cm.patient_hospitals, cm.doctor_hospitals)}, {0: {(0, 1)}})
-    with pytest.raises(ValueError, match="absent from its list"):
-        eta_zeta(cm, bogus.partners(cm), PATIENT)
+    # Force a pair that is not on the patient's list: beside an unmatched
+    # patient, then on a fully matched side, where partner_ranks' one-pass
+    # path fails and falls through to word the fault.
+    for patient_lists, pairs in (([[0], [1]], {(0, 1)}), ([[0], [0, 1]], {(0, 1), (1, 0)})):
+        cm = market_from_rankings(patient_lists, [[0], [1]], mode="partial").categories[0]
+        bogus = Matching.from_pairs({0: (cm.patient_hospitals, cm.doctor_hospitals)}, {0: pairs})
+        for score in (partner_ranks, eta_zeta):
+            with pytest.raises(ValueError) as err:
+                score(cm, bogus.partners(cm), PATIENT)
+            assert str(err.value) == "<p1@c0> matched to <d2@c0> absent from its list"
 
 
 def test_foreign_agents_are_rejected(ref_market):
@@ -231,7 +235,7 @@ def test_eta_zeta_matches_a_brute_force_scorer():
 
 
 def previous_eta_zeta(cm, partners, side):
-    """eta_zeta as one partner_ranks pass, before its everyone-matched path."""
+    """eta_zeta as one partner_ranks pass."""
     scores = partner_ranks(cm, partners, side)
     zeta = sum(score == 0 < len(row) for score, row in zip(scores, cm.prefs(side)))
     return sum(scores), zeta
