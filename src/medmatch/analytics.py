@@ -61,6 +61,13 @@ def perturb_preferences(market: Market, spec: PerturbationSpec) -> Market:
     return Market(tuple(categories), market.mode)
 
 
+def _check_counts(**counts: int) -> None:
+    """Refuse the first of the named counts that is below 1."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def _summarize(samples) -> EstimateResult:
     mean = statistics.fmean(samples)
     se = statistics.stdev(samples) / math.sqrt(len(samples)) if len(samples) > 1 else 0.0
@@ -73,10 +80,7 @@ def estimate_first_pick_distance(
     """Sample mean distance of a uniformly random pick from the top of an
     n-entry list; converges to (n-1)/2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_counts(n=n, trials=trials)
     rng = random.Random(f"{seed}:first-pick")
     samples = [rng.randrange(n) for _ in range(trials)]
     return _summarize(samples)
@@ -93,10 +97,7 @@ def estimate_total_distance(
     doctor's index in that patient's original list. model="stylized" draws
     the pick index uniformly over the remaining-list length instead.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_counts(n=n, trials=trials)
     if model not in ("mechanism", "stylized"):
         raise ValueError(f"unknown model {model!r}")
     from .mechanisms import ramhecs_category
@@ -135,12 +136,7 @@ def simulate_geometric_rejections(
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"rejection probability {p} outside [0, 1)")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if agents < 1:
-        raise ValueError("agents must be >= 1")
+    _check_counts(horizon=horizon, trials=trials, agents=agents)
     import numpy as np
 
     rng = np.random.default_rng(seed)

@@ -58,6 +58,16 @@ class TraceStats(namedtuple("TraceStats", "per_category events", defaults=(None,
         return sum(t.outer_iterations for t in self.per_category)
 
 
+def invert(partners: list[int | None], size: int) -> list[int | None]:
+    """The other side's partner list of size agents: entry r is the agent
+    partnered with r, or None where no agent is."""
+    other: list[int | None] = [None] * size
+    for a, r in enumerate(partners):
+        if r is not None:
+            other[r] = a
+    return other
+
+
 class Matching(namedtuple("Matching", "rosters by_category")):
     """Per category, each agent's partner ordinal per side, None when
     unmatched (by_category[c] is {PATIENT: [...], DOCTOR: [...]}), and the
@@ -77,14 +87,15 @@ class Matching(namedtuple("Matching", "rosters by_category")):
         by_category = {}
         for category, pairs in pairs_by_category.items():
             n, m = map(len, rosters[category])
-            patient, doctor = [None] * n, [None] * m
+            patient = [None] * n
             pairs = set(pairs)
             for i, j in pairs:
                 if not (0 <= i < n and 0 <= j < m):
                     raise ValueError(
                         f"matching references unknown agents (patient {i}, doctor {j})"
                     )
-                patient[i], doctor[j] = j, i
+                patient[i] = j
+            doctor = invert(patient, m)
             # Each pair fills one slot per side unless an ordinal repeats.
             if not len(pairs) == n - patient.count(None) == m - doctor.count(None):
                 raise ValueError(
@@ -148,7 +159,7 @@ def ramhecs_category(
     everyone = all(len(row) == n for row in cm.doctor_prefs)
     doctor_ranks = None if everyone else cm.ranks[DOCTOR]
     active = list(range(n))
-    patient_partner, doctor_partner = [None] * n, [None] * m
+    partner: list[int | None] = [None] * n
     while active:
         c = len(active)
         bits = c.bit_length()
@@ -173,12 +184,12 @@ def ramhecs_category(
         while i >= c:
             i = getrandbits(bits)
         d = next(islice(compress(row, map(is_free, row)), i, None)) if full else candidates[i]
-        patient_partner[t], doctor_partner[d] = d, t
+        partner[t] = d
         free[d] = 0
         left -= 1
-    matched = n - patient_partner.count(None)
+    matched = n - partner.count(None)
     trace = CategoryTrace(cm.category, proposals=matched, outer_iterations=n)
-    return {PATIENT: patient_partner, DOCTOR: doctor_partner}, trace
+    return {PATIENT: partner, DOCTOR: invert(partner, m)}, trace
 
 
 def tomhecs_category(
@@ -203,8 +214,8 @@ def tomhecs_category(
     a round's offers at its end (McVitie & Wilson 1971). A rejected
     proposer is queued only while its list has entries left, and the next
     round visits that queue in ascending ordinal order: O(proposals) time
-    rather than O(rounds x roster). The proposers' partners are filled
-    from the receivers' final holders at the end.
+    rather than O(rounds x roster). The proposers' partners are the
+    inverse of the receivers' final holders, taken once at the end.
 
     The counters are set once, at the end, too. Every proposal ends either
     as a final hold or rejected exactly once, so proposals is the sum of
@@ -274,14 +285,10 @@ def tomhecs_category(
         rejected.sort()
         free = rejected
 
-    partner: list[int | None] = [None] * len(prefs)
-    for r, p in enumerate(holder):
-        if p is not None:
-            partner[p] = r
     proposals = sum(next_choice)
     matched = len(holder) - holder.count(None)
     trace = CategoryTrace(cm.category, proposals, proposals - matched, rnd)
-    return {proposing_side: partner, opposite(proposing_side): holder}, trace
+    return {proposing_side: invert(holder, len(prefs)), opposite(proposing_side): holder}, trace
 
 
 def run_categories(

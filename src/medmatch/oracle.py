@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from itertools import permutations
 
 from .market import DOCTOR, PATIENT, SIDES, CategoryMarket, CheckRefused, opposite
-from .mechanisms import Matching, tomhecs_category
+from .mechanisms import Matching, invert, tomhecs_category
 from .metrics import partner_ranks
 
 ENUMERATION_LIMIT = 8
@@ -62,7 +62,7 @@ def find_blocking_pairs(cm: CategoryMarket, matching: Matching) -> list[Blocking
 
 
 def is_stable(cm: CategoryMarket, matching: Matching) -> bool:
-    return not find_blocking_pairs(cm, matching)
+    return not any(_blocking_ordinals(cm, matching.partners(cm)))
 
 
 def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> dict[str, list[int | None]]:
@@ -78,7 +78,6 @@ def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> dict[str, list[int
     prefs = cm.prefs(proposing_side)
     ranks = cm.ranks[receiving]
     holder: list[int | None] = [None] * len(ranks)
-    partner: list[int | None] = [None] * len(prefs)
     next_choice = [0] * len(prefs)
     free = list(range(len(prefs)))
     while free:
@@ -93,12 +92,10 @@ def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> dict[str, list[int
             held = holder[r]
             if held is None or rank < ranks[r][held]:
                 holder[r] = p
-                partner[p] = r
                 if held is not None:
-                    partner[held] = None
                     free.append(held)
                 break
-    return {proposing_side: partner, receiving: holder}
+    return {proposing_side: invert(holder, len(prefs)), receiving: holder}
 
 
 def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
@@ -107,10 +104,10 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
 
     The walk starts at the patient-optimal matching and eliminates every
     exposed rotation of each matching it reaches, until no patient can move
-    further towards its doctor-optimal partner. Matchings come in the
-    canonical order of their patient assignment tuples (a doctor ordinal per
-    patient, -1 when unmatched). Guarded to rosters of at most
-    ENUMERATION_LIMIT agents.
+    further towards its doctor-optimal partner. Matchings come sorted by
+    their patient assignment tuples (a doctor ordinal or None per patient),
+    not in lattice order. Guarded to rosters of at most ENUMERATION_LIMIT
+    agents.
     """
     n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
     if max(n, m) > ENUMERATION_LIMIT:
@@ -119,24 +116,18 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
         )
     patient_prefs = cm.patient_prefs
     doctor_ranks = cm.ranks[DOCTOR]
-    top, bottom = (
-        [-1 if d is None else d for d in _gale_shapley(cm, side)[PATIENT]]
-        for side in (PATIENT, DOCTOR)
-    )
+    top, bottom = (_gale_shapley(cm, side)[PATIENT] for side in (PATIENT, DOCTOR))
     seen = {tuple(top)}
     stack = [tuple(top)]
     while stack:
         assignment = stack.pop()
-        holder: list[int | None] = [None] * m
-        for p, d in enumerate(assignment):
-            if d != -1:
-                holder[d] = p
+        holder = invert(assignment, m)
         # s(p): the first doctor below p's partner that would take p over
         # its own partner. Unmatched doctors are skipped: by the
         # rural-hospitals theorem no stable matching matches them.
         successor = {}
         for p, d in enumerate(assignment):
-            if d == -1 or d == bottom[p]:
+            if d is None or d == bottom[p]:
                 continue
             row = patient_prefs[p]
             for e in row[row.index(d) + 1 :]:
@@ -165,8 +156,10 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
                 seen.add(reached)
                 stack.append(reached)
     rosters = {cm.category: (cm.patient_hospitals, cm.doctor_hospitals)}
+    # Every stable matching leaves the same patients unmatched (Roth 1986),
+    # so the sort never compares None with an ordinal.
     return [
-        Matching.from_pairs(rosters, {cm.category: [(p, d) for p, d in enumerate(a) if d != -1]})
+        Matching(rosters, {cm.category: {PATIENT: list(a), DOCTOR: invert(a, m)}})
         for a in sorted(seen)
     ]
 

@@ -100,9 +100,9 @@ def test_first_pick_distance_small_n():
 
 
 def test_first_pick_distance_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
         estimate_first_pick_distance(0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
         estimate_first_pick_distance(5, 0)
 
 
@@ -143,7 +143,9 @@ def test_total_distance_stylized_model():
 
 
 def test_total_distance_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        estimate_total_distance(0, 10)
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
         estimate_total_distance(4, 0)
     with pytest.raises(ValueError):
         estimate_total_distance(4, 10, model="other")
@@ -180,5 +182,9 @@ def test_geometric_rejections_errors():
         simulate_geometric_rejections(1.0, 4, 10)
     with pytest.raises(ValueError):
         simulate_geometric_rejections(-0.1, 4, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
         simulate_geometric_rejections(0.5, 4, 0)
+    with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+        simulate_geometric_rejections(0.5, 0, 10)
+    with pytest.raises(ValueError, match="^agents must be >= 1$"):
+        simulate_geometric_rejections(0.5, 4, 10, agents=0)

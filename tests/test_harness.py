@@ -264,6 +264,9 @@ def test_emit_failure_leaves_the_old_file(tmp_path):
     bad = rows[:1] + [rows[1]._replace(mechanism="\ud800")] + rows[2:]
     with pytest.raises(UnicodeEncodeError):
         emit(bad, "csv", str(out))
+    # An unknown format is refused before any file is opened.
+    with pytest.raises(ConfigError, match=r"^unknown output format 'xml'$"):
+        emit([], "xml", str(tmp_path / "rows.xml"))
     assert out.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["rows.csv"]
 

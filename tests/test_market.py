@@ -57,6 +57,7 @@ from medmatch.oracle import (
     check_truthfulness_exhaustive,
     enumerate_stable_matchings,
     find_blocking_pairs,
+    is_stable,
 )
 from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS
 from test_oracle import reference_truthfulness_sweep
@@ -303,6 +304,13 @@ def test_untraced_runs_build_no_agent_ids(monkeypatch):
     # The validated entry points name agents only in violations.
     tomhecs(market, DOCTOR)
     ramhecs(market, seed=3)
+    # The oracles name none either: an empty matching of two mutually
+    # listed pairs is unstable, and the category has two stable matchings.
+    crossed = market_from_rankings([[1, 0], [0, 1]], [[0, 1], [1, 0]]).categories[0]
+    rosters = {0: (crossed.patient_hospitals, crossed.doctor_hospitals)}
+    empty = Matching.from_pairs(rosters, {0: []})
+    assert not is_stable(crossed, empty)
+    assert len(enumerate_stable_matchings(crossed)) == 2
     assert built == []
     # The edges still name agents.
     assert len(matching.pairs(0)) == 8 and len(built) == 16
@@ -470,6 +478,10 @@ def test_generator_rejects_oversized_lists():
         generate_random_market(1, 5, 3, list_length=4, seed=0)
     with pytest.raises(ValueError):
         generate_random_market(1, 2, 5, list_length=3, seed=0)
+    with pytest.raises(ValueError, match="^counts must be non-negative$"):
+        generate_random_market(-1, 2, 2)
+    with pytest.raises(ValueError, match="^list_length must be non-negative$"):
+        generate_random_market(1, 2, 2, -1)
 
 
 @settings(max_examples=40, deadline=None)

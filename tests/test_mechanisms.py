@@ -364,6 +364,8 @@ def test_invalid_market_is_rejected(ref_market):
 def test_run_categories_unknown_name(ref_market):
     with pytest.raises(ValueError, match="unknown mechanism"):
         run_categories(ref_market, "foo")
+    with pytest.raises(ValueError, match="^unknown proposing side 'nobody'$"):
+        run_categories(ref_market, "tomhecs", "nobody")
 
 
 @pytest.mark.parametrize("side", [PATIENT, DOCTOR])
