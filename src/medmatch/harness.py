@@ -186,58 +186,67 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         else opposite(config.proposing_side)
     )
     for rep in range(config.repetitions):
-        market = generate_random_market(
-            config.k,
-            config.n_patients,
-            config.n_doctors,
-            config.list_length,
-            seed=f"{config.seed}:market:{rep}",
-        )
-        perturbed = {
-            preset: perturb_preferences(
-                market,
-                PerturbationSpec(
-                    deviating_side,
-                    PRESET_PROBABILITIES[preset],
-                    seed=f"{config.seed}:perturb:{rep}:{preset}",
-                ),
-            )
-            for preset in config.presets
-        }
-        for mechanism in config.mechanisms:
-            for preset in config.presets:
-                # Generated and perturbed markets are valid by construction.
-                matching, stats = run_categories(
-                    perturbed[preset],
-                    mechanism,
-                    config.proposing_side,
-                    seed=f"{config.seed}:run:{rep}:{mechanism}:{preset}",
-                )
-                if config.save_matchings:
-                    result.matchings[(rep, mechanism, preset)] = matching
-                # Scored against the TRUE preferences, not the misreports.
-                partners = [matching.partners(cm) for cm in market.categories]
-                for side in config.measured_sides:
-                    for cm, cm_partners, trace in zip(
-                        market.categories, partners, stats.per_category
-                    ):
-                        eta, zeta = eta_zeta(cm, cm_partners, side)
-                        result.rows.append(
-                            ResultRow(
-                                rep,
-                                cm.category,
-                                mechanism,
-                                preset,
-                                config.deviating_party,
-                                side,
-                                eta,
-                                zeta,
-                                trace.proposals,
-                                trace.rejections,
-                                matching.matched_count(cm.category),
-                            )
-                        )
+        _run_repetition(config, rep, deviating_side, result)
     return result
+
+
+def _run_repetition(
+    config: ExperimentConfig, rep: int, deviating_side: str, result: ExperimentResult
+) -> None:
+    """Append one repetition's rows (and matchings) to result. Its markets
+    and rank tables are this frame's alone, so none of them is still held
+    while the next repetition generates its own."""
+    market = generate_random_market(
+        config.k,
+        config.n_patients,
+        config.n_doctors,
+        config.list_length,
+        seed=f"{config.seed}:market:{rep}",
+    )
+    perturbed = {
+        preset: perturb_preferences(
+            market,
+            PerturbationSpec(
+                deviating_side,
+                PRESET_PROBABILITIES[preset],
+                seed=f"{config.seed}:perturb:{rep}:{preset}",
+            ),
+        )
+        for preset in config.presets
+    }
+    for mechanism in config.mechanisms:
+        for preset in config.presets:
+            # Generated and perturbed markets are valid by construction.
+            matching, stats = run_categories(
+                perturbed[preset],
+                mechanism,
+                config.proposing_side,
+                seed=f"{config.seed}:run:{rep}:{mechanism}:{preset}",
+            )
+            if config.save_matchings:
+                result.matchings[(rep, mechanism, preset)] = matching
+            # Scored against the TRUE preferences, not the misreports.
+            partners = [matching.partners(cm) for cm in market.categories]
+            for side in config.measured_sides:
+                for cm, cm_partners, trace in zip(
+                    market.categories, partners, stats.per_category
+                ):
+                    eta, zeta = eta_zeta(cm, cm_partners, side)
+                    result.rows.append(
+                        ResultRow(
+                            rep,
+                            cm.category,
+                            mechanism,
+                            preset,
+                            config.deviating_party,
+                            side,
+                            eta,
+                            zeta,
+                            trace.proposals,
+                            trace.rejections,
+                            matching.matched_count(cm.category),
+                        )
+                    )
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_reference_market
 from medmatch import generate_random_market, store_market
-from medmatch import cli, harness, mechanisms
+from medmatch import analytics, cli, harness, mechanisms
 from medmatch.cli import main
 
 
@@ -257,7 +257,9 @@ def test_run_unwritable_out_is_io_error(tmp_path, config_file):
 
 def test_check_stability(market_file, capsys):
     assert main(["check", "stability", "--market", market_file]) == 0
-    assert "stable" in capsys.readouterr().out
+    assert capsys.readouterr().out == "category 0: stable\n"
+    assert main(["check", "stability", "--market", market_file, "--side", "doctor"]) == 0
+    assert capsys.readouterr().out == "category 0: stable\n"
 
 
 def test_check_optimality_both_sides(market_file):
@@ -285,10 +287,21 @@ def test_check_truthfulness_runs_no_matching(market_file, capsys, monkeypatch, s
     assert capsys.readouterr().out == expected
 
 
-def test_check_malformed_market(tmp_path):
+def test_check_malformed_market(tmp_path, market_file, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{}")
     assert main(["check", "stability", "--market", str(path)]) == 1
+    # A list that repeats an entry is refused at its JSON path.
+    doc = json.loads(Path(market_file).read_text())
+    row = doc["categories"][0]["patient_prefs"]["p1"]
+    row.append(row[0])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "stability", "--market", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: $.categories[0].patient_prefs.p1: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -308,12 +321,24 @@ def test_refused_check_exits_3(tmp_path, capsys, prop, n, list_length, message):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n, list_length", [(9, None), (256, 32)], ids=["full-9", "partial-256"])
+@pytest.mark.parametrize(
+    "n, list_length",
+    # Full lists of 300 rank past 255, so their rows are packed 2-byte rank
+    # tables; sparse lists of 8 from 300 leave most agents unmatched.
+    [(9, None), (256, 32), (300, None), (300, 8)],
+    ids=["full-9", "partial-256", "full-300", "partial-300"],
+)
 def test_check_optimality_past_the_enumeration_guard(tmp_path, capsys, n, list_length):
     path = tmp_path / "market.json"
     path.write_bytes(store_market(generate_random_market(1, n, n, list_length, seed=0)))
     assert main(["check", "optimality", "--market", str(path)]) == 0
     assert capsys.readouterr().out == "category 0: optimal\n"
+    # From the doctors' side too, and the same matchings are stable.
+    assert main(["check", "optimality", "--market", str(path), "--side", "doctor"]) == 0
+    assert capsys.readouterr().out == "category 0: optimal\n"
+    for side in ("patient", "doctor"):
+        assert main(["check", "stability", "--market", str(path), "--side", side]) == 0
+        assert capsys.readouterr().out == "category 0: stable\n"
 
 
 def test_analytics_lemma4(capsys):
@@ -340,6 +365,28 @@ def test_analytics_lemma6(capsys):
 
 def test_analytics_bad_parameters():
     assert main(["analytics", "lemma6", "--n", "8", "--trials", "10", "--p", "1.0"]) == 1
+
+
+# What numpy raises for `match analytics lemma6 --n 8 --trials 1000000000000`.
+NUMPY_OUT_OF_MEMORY = (
+    "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+)
+
+
+@pytest.mark.parametrize(
+    "message, printed",
+    [(NUMPY_OUT_OF_MEMORY, NUMPY_OUT_OF_MEMORY), ("", "out of memory")],
+    ids=["numpy", "bare"],
+)
+def test_analytics_out_of_memory(capsys, monkeypatch, message, printed):
+    # Never a real oversized allocation: an overcommitting kernel may grant
+    # it, and then the test touches it.
+    def allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(analytics, "simulate_geometric_rejections", allocate)
+    assert main(["analytics", "lemma6", "--n", "8", "--trials", "1000000000000"]) == 1
+    assert capsys.readouterr() == ("", f"error: {printed}\n")
 
 
 # Runs in a fresh interpreter, since this one has already imported every

@@ -4,6 +4,11 @@ Every full 3x3 category is one of 6^6 = 46,656 equally likely preference
 profiles, so patient-proposing deferred acceptance has exact expected eta
 and zeta per category, found by enumerating them all. run_experiment's
 per-row means at a fixed seed must lie within 3 standard errors of them.
+
+The same walk checks tomhecs from both proposing sides on every profile:
+it is the oracle's sequential deferred acceptance, it is stable, and its
+proposal counts have their exact mean and the worst case n^2 - n + 1
+(Gale & Shapley 1962; Knuth 1976).
 """
 
 from fractions import Fraction
@@ -14,28 +19,40 @@ from statistics import fmean, stdev
 from medmatch import DOCTOR, PATIENT, category_from_rankings, eta_zeta
 from medmatch.harness import ExperimentConfig, run_experiment
 from medmatch.mechanisms import tomhecs_category
+from medmatch.oracle import _blocking_ordinals, _gale_shapley
 
 # Per category, under patient-proposing deferred acceptance: (E[eta], E[zeta]).
 EXACT = {
     PATIENT: (Fraction(11, 8), Fraction(23, 12)),
     DOCTOR: (Fraction(155, 72), Fraction(35, 24)),
 }
+# Per category, from either proposing side: (E[proposals], most proposals).
+# By symmetry the two sides agree; n*H_n = 11/2 bounds the mean (Wilson 1972).
+PROPOSALS = (Fraction(35, 8), 3 * 3 - 3 + 1)
 
 
 def test_exact_expectations_on_every_full_3x3_category():
     totals = {side: [0, 0] for side in EXACT}
+    proposals = {side: [] for side in (PATIENT, DOCTOR)}
     count = 0
     for lists in product(permutations(range(3)), repeat=6):
         cm = category_from_rankings(0, lists[:3], lists[3:])
-        partners, _ = tomhecs_category(cm, PATIENT)
-        for side, total in totals.items():
-            eta, zeta = eta_zeta(cm, partners, side)
-            total[0] += eta
-            total[1] += zeta
+        for proposing_side, counts in proposals.items():
+            partners, trace = tomhecs_category(cm, proposing_side)
+            assert partners == _gale_shapley(cm, proposing_side), (lists, proposing_side)
+            assert not any(_blocking_ordinals(cm, partners)), (lists, proposing_side)
+            counts.append(trace.proposals)
+            if proposing_side == PATIENT:
+                for side, total in totals.items():
+                    eta, zeta = eta_zeta(cm, partners, side)
+                    total[0] += eta
+                    total[1] += zeta
         count += 1
     assert count == 46_656
     assert {side: (Fraction(eta, count), Fraction(zeta, count))
             for side, (eta, zeta) in totals.items()} == EXACT
+    assert {side: (Fraction(sum(counts), count), max(counts))
+            for side, counts in proposals.items()} == {PATIENT: PROPOSALS, DOCTOR: PROPOSALS}
 
 
 def test_harness_means_lie_within_three_standard_errors_of_the_exact_values():

@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,26 @@ def test_run_experiment_does_not_validate(monkeypatch):
     # The counter does see the public entry points' validation.
     ramhecs(generate_random_market(1, 3, 3, seed=0))
     assert len(calls) == 1
+
+
+def test_a_repetition_holds_nothing_of_the_one_before():
+    # One 256x256 category's market and rank tables dominate the traced
+    # peak. If repetition r's were still reachable while r+1 generates its
+    # own, two repetitions would peak at about twice one.
+    def peak(repetitions):
+        config = ExperimentConfig(
+            k=1, n_patients=256, n_doctors=256, mechanisms=("tomhecs",),
+            repetitions=repetitions, seed=1,
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-use caches are not a repetition's
+    assert peak(2) <= 1.1 * peak(1)
 
 
 def test_each_matching_is_scored_once(monkeypatch):
@@ -363,13 +385,23 @@ def test_summarize_requires_rows():
 
 
 def test_saved_matchings_round_trip_consistency():
-    config = small_config(repetitions=2, save_matchings=True)
+    config = small_config(
+        mechanisms=("ramhecs", "tomhecs"), presets=("none", "large"), repetitions=2,
+        save_matchings=True,
+    )
     result = run_experiment(config)
-    assert set(result.matchings) == {(0, "tomhecs", "none"), (1, "tomhecs", "none")}
+    assert set(result.matchings) == set(
+        product(range(2), ("ramhecs", "tomhecs"), ("none", "large"))
+    )
     records = matchings_to_jsonable(result.matchings)
     blob = json.dumps(records)
     for record in json.loads(blob):
         rep = record["rep"]
+        assert sorted(record["pairs"]) == ["0", "1"]
+        for pairs in record["pairs"].values():
+            for side in (0, 1):
+                labels = [pair[side] for pair in pairs]
+                assert len(set(labels)) == len(labels), record
         market = generate_random_market(2, 4, 4, seed=f"{config.seed}:market:{rep}")
         rosters, by_category = {}, {}
         for cm in market.categories:
@@ -381,8 +413,9 @@ def test_saved_matchings_round_trip_consistency():
             ]
         matching = Matching.from_pairs(rosters, by_category)
         eta_by_cat, _ = scores(market, matching, PATIENT)
+        cell = (rep, record["mechanism"], record["preset"])
         for row in result.rows:
-            if row.rep == rep:
+            if (row.rep, row.mechanism, row.preset) == cell:
                 assert row.eta == eta_by_cat[row.category]
 
 

@@ -443,6 +443,17 @@ def test_generator_is_deterministic():
     assert a == b
     c = generate_random_market(1, 4, 4, seed=8)
     assert a != c
+    # A category's lists are random.sample's draws from one Random seeded
+    # "{seed}:gen:{category}", the patients' lists first, on both of its
+    # branches: lists of 8 from 300 take the set branch, of 300 the pool.
+    for list_length, k in ((8, 8), (None, 300)):
+        cm = generate_random_market(1, 300, 300, list_length, seed=1).categories[0]
+        rng = random.Random("1:gen:0")
+        for side in (PATIENT, DOCTOR):
+            assert cm.prefs(side) == tuple(
+                tuple(rng.sample(range(300), k)) for _ in range(300)
+            ), (k, side)
+    assert not uses_pool_branch(300, 8) and uses_pool_branch(300, 300)
 
 
 def test_generator_default_seed_is_zero():
