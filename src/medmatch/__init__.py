@@ -22,6 +22,7 @@ _EXPORTS = {
         "generate_random_market",
         "load_market",
         "market_from_rankings",
+        "perturb_preferences",
         "store_market",
         "validate_market",
     ),
@@ -38,10 +39,8 @@ _EXPORTS = {
     "metrics": ("eta_zeta",),
     "analytics": (
         "EstimateResult",
-        "PerturbationSpec",
         "estimate_first_pick_distance",
         "estimate_total_distance",
-        "perturb_preferences",
         "simulate_geometric_rejections",
     ),
     "harness": ("ExperimentConfig", "emit", "run_experiment", "summarize"),

@@ -1,4 +1,4 @@
-"""Preference perturbation and Monte Carlo estimators for the expectation models.
+"""Monte Carlo estimators for the expectation models.
 
 The estimators simulate the stylized probability models (uniform first-pick
 index, independent geometric rejections) and the randomized mechanism's
@@ -17,48 +17,10 @@ import random
 import statistics
 from collections import namedtuple
 
-from .market import DOCTOR, PATIENT, Market, _sampler, category_from_rankings
-
-
-class PerturbationSpec(namedtuple("PerturbationSpec", "side q seed")):
-    """Which side's lists to perturb, each with probability q, and the
-    seed of the draws. Checked whenever one is built, by _replace too.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, side: str, q: float, seed: int | str = 0):
-        if side not in (PATIENT, DOCTOR):
-            raise ValueError(f"unknown side {side!r}")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"deviation probability {q} outside [0, 1]")
-        return super().__new__(cls, side, q, seed)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+from .market import PATIENT, _sampler, category_from_rankings
 
 
 EstimateResult = namedtuple("EstimateResult", "mean trials std_error")
-
-
-def perturb_preferences(market: Market, spec: PerturbationSpec) -> Market:
-    """Independently per agent on spec.side, with probability q replace its
-    ranking by a fresh uniform permutation of the same entries. Deterministic
-    per seed; q=0 returns the input unchanged.
-    """
-    if spec.q == 0.0:
-        return market
-    categories = []
-    for cm in market.categories:
-        rng = random.Random(f"{spec.seed}:perturb:{cm.category}")
-        sample = _sampler(rng)
-        lists = tuple(
-            sample(row, len(row)) if rng.random() < spec.q else row
-            for row in cm.prefs(spec.side)
-        )
-        categories.append(cm.with_prefs(spec.side, lists))
-    return Market(tuple(categories), market.mode)
 
 
 def _check_counts(**counts: int) -> None:

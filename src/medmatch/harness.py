@@ -20,7 +20,6 @@ from collections import namedtuple
 from statistics import fmean, stdev
 from types import SimpleNamespace
 
-from .analytics import PerturbationSpec, perturb_preferences
 from .market import (
     FORMATS,
     FULL,
@@ -31,6 +30,7 @@ from .market import (
     SIDES,
     generate_random_market,
     opposite,
+    perturb_preferences,
 )
 from .mechanisms import MECHANISMS, Matching, run_categories
 from .metrics import eta_zeta
@@ -206,11 +206,9 @@ def _run_repetition(
     perturbed = {
         preset: perturb_preferences(
             market,
-            PerturbationSpec(
-                deviating_side,
-                PRESET_PROBABILITIES[preset],
-                seed=f"{config.seed}:perturb:{rep}:{preset}",
-            ),
+            deviating_side,
+            PRESET_PROBABILITIES[preset],
+            seed=f"{config.seed}:perturb:{rep}:{preset}",
         )
         for preset in config.presets
     }

@@ -1,4 +1,4 @@
-"""Agents, categories, preference profiles, and market construction.
+"""Agents, categories, preference profiles, market construction and perturbation.
 
 A market is a collection of independent categories. Within a category each
 patient ranks some (or all) of the doctors and each doctor ranks some (or
@@ -482,6 +482,29 @@ def generate_random_market(
         )
     mode = FULL if list_length is None else PARTIAL
     return Market(tuple(categories), mode)
+
+
+def perturb_preferences(market: Market, side: str, q: float, seed: int | str = 0) -> Market:
+    """Independently per agent on side, with probability q replace its
+    ranking by a fresh uniform permutation of the same entries. Deterministic
+    per seed; q=0 returns the input unchanged. Raises ValueError for an
+    unknown side, even at q=0, or a q outside [0, 1].
+    """
+    if side not in SIDES:
+        raise ValueError(f"unknown side {side!r}")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"deviation probability {q} outside [0, 1]")
+    if q == 0.0:
+        return market
+    categories = []
+    for cm in market.categories:
+        rng = random.Random(f"{seed}:perturb:{cm.category}")
+        sample = _sampler(rng)
+        lists = tuple(
+            sample(row, len(row)) if rng.random() < q else row for row in cm.prefs(side)
+        )
+        categories.append(cm.with_prefs(side, lists))
+    return Market(tuple(categories), market.mode)
 
 
 def _layout(brackets: str, items: list[str], indent: str) -> str:

@@ -81,11 +81,15 @@ class Matching(namedtuple("Matching", "rosters by_category")):
     @classmethod
     def from_pairs(cls, rosters: dict, pairs_by_category: dict) -> Matching:
         """The matching of (patient ordinal, doctor ordinal) pairs per
-        category. Raises ValueError for an ordinal off the category's
-        rosters or in two pairs.
+        category. Raises ValueError for a category without rosters, or an
+        ordinal off the category's rosters or in two pairs.
         """
         by_category = {}
         for category, pairs in pairs_by_category.items():
+            if category not in rosters:
+                raise ValueError(
+                    f"matching references unknown agents (category {category} has no rosters)"
+                )
             n, m = map(len, rosters[category])
             patient = [None] * n
             pairs = set(pairs)

@@ -4,7 +4,6 @@ from itertools import permutations, product
 import pytest
 
 from medmatch import (
-    PerturbationSpec,
     estimate_first_pick_distance,
     estimate_total_distance,
     generate_random_market,
@@ -24,28 +23,26 @@ def test_preset_ladder():
     }
 
 
-def test_spec_rejects_bad_parameters():
+def test_perturb_rejects_bad_parameters(ref_market):
     with pytest.raises(ValueError, match=r"^deviation probability 1.5 outside \[0, 1\]$"):
-        PerturbationSpec(PATIENT, 1.5)
+        perturb_preferences(ref_market, PATIENT, 1.5)
+    with pytest.raises(ValueError, match=r"^deviation probability -0.1 outside \[0, 1\]$"):
+        perturb_preferences(ref_market, DOCTOR, -0.1)
+    with pytest.raises(ValueError, match=r"^deviation probability nan outside \[0, 1\]$"):
+        perturb_preferences(ref_market, PATIENT, math.nan)
     with pytest.raises(ValueError, match="^unknown side 'nurse'$"):
-        PerturbationSpec("nurse", 0.5)
-    # A copy made by _replace is checked too; the spec itself is immutable.
-    spec = PerturbationSpec(DOCTOR, 0.5, seed=3)
-    assert spec._replace(q=1.0) == PerturbationSpec(DOCTOR, 1.0, 3)
-    with pytest.raises(ValueError, match="outside"):
-        spec._replace(q=-0.1)
-    with pytest.raises(ValueError, match="unknown side"):
-        spec._replace(side="nurse")
-    with pytest.raises(AttributeError):
-        spec.q = 1.0
+        perturb_preferences(ref_market, "nurse", 0.5)
+    # Refused at q=0 too, where a known side gets the market back unchanged.
+    with pytest.raises(ValueError, match="^unknown side 'nurse'$"):
+        perturb_preferences(ref_market, "nurse", 0.0)
 
 
 def test_perturb_q_zero_is_identity(ref_market):
-    assert perturb_preferences(ref_market, PerturbationSpec(PATIENT, 0.0, 1)) is ref_market
+    assert perturb_preferences(ref_market, PATIENT, 0.0, 1) is ref_market
 
 
 def test_perturb_q_one_resamples_every_list(ref_market):
-    out = perturb_preferences(ref_market, PerturbationSpec(PATIENT, 1.0, 3))
+    out = perturb_preferences(ref_market, PATIENT, 1.0, 3)
     cm_in, cm_out = ref_market.categories[0], out.categories[0]
     for before, after in zip(cm_in.patient_prefs, cm_out.patient_prefs):
         assert set(before) == set(after)
@@ -55,13 +52,13 @@ def test_perturb_q_one_resamples_every_list(ref_market):
 
 
 def test_perturb_is_deterministic(ref_market):
-    spec = PerturbationSpec(DOCTOR, 0.5, seed="abc")
-    assert perturb_preferences(ref_market, spec) == perturb_preferences(ref_market, spec)
+    first, second = (perturb_preferences(ref_market, DOCTOR, 0.5, seed="abc") for _ in "ab")
+    assert first == second
 
 
 def test_perturb_preserves_validity_partial():
     market = generate_random_market(2, 6, 4, list_length=3, seed=4)
-    out = perturb_preferences(market, PerturbationSpec(PATIENT, 0.7, 9))
+    out = perturb_preferences(market, PATIENT, 0.7, 9)
     assert validate_market(out) == []
     for cm_in, cm_out in zip(market.categories, out.categories):
         for before, after in zip(cm_in.patient_prefs, cm_out.patient_prefs):
@@ -74,7 +71,7 @@ def test_expected_deviator_count():
     market = generate_random_market(1, n, n, seed=0)
     counts = []
     for seed in range(runs):
-        out = perturb_preferences(market, PerturbationSpec(PATIENT, q, seed))
+        out = perturb_preferences(market, PATIENT, q, seed)
         changed = sum(
             a != b
             for a, b in zip(market.categories[0].patient_prefs,

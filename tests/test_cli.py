@@ -469,7 +469,7 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path, config_file, market_f
 @pytest.mark.parametrize(
     "command, modules",
     [
-        (RUN, ["analytics", "cli", "harness", "market", "mechanisms", "metrics"]),
+        (RUN, ["cli", "harness", "market", "mechanisms", "metrics"]),
         (CHECK, ["cli", "market", "mechanisms", "metrics", "oracle"]),
         (LEMMA4, ["analytics", "cli", "market"]),
         (LEMMA5, ["analytics", "cli", "market", "mechanisms", "metrics"]),

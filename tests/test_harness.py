@@ -13,8 +13,7 @@ import medmatch.market
 import medmatch.mechanisms
 import medmatch.metrics
 from conftest import scores
-from medmatch import Matching, generate_random_market, ramhecs, tomhecs
-from medmatch.analytics import PerturbationSpec, perturb_preferences
+from medmatch import Matching, generate_random_market, perturb_preferences, ramhecs, tomhecs
 from medmatch.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -249,8 +248,7 @@ def test_metrics_scored_against_true_preferences():
     for rep in range(2):
         market = generate_random_market(2, 4, 4, seed=f"{config.seed}:market:{rep}")
         perturbed = perturb_preferences(
-            market,
-            PerturbationSpec(PATIENT, 1 / 2, seed=f"{config.seed}:perturb:{rep}:large"),
+            market, PATIENT, 1 / 2, seed=f"{config.seed}:perturb:{rep}:large"
         )
         matching, _ = tomhecs(perturbed, PATIENT)
         eta_by_cat, _ = scores(market, matching, PATIENT)

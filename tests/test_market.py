@@ -17,7 +17,6 @@ from medmatch import (
     InvalidMarketError,
     Market,
     MarketFormatError,
-    PerturbationSpec,
     generate_random_market,
     load_market,
     market_from_rankings,
@@ -274,7 +273,7 @@ def test_categories_hold_no_agent_ids(ref_market):
         partial,
         ref_market,
         load_market(store_market(partial)),
-        perturb_preferences(generated, PerturbationSpec(DOCTOR, 1.0, 2)),
+        perturb_preferences(generated, DOCTOR, 1.0, 2),
     ]
     categories = [cm for market in made for cm in market.categories]
     categories.append(category_from_rankings(1, [[0, 1]], [[0], [0]], ["a"], ["b", "c"]))
@@ -528,7 +527,7 @@ def test_generator_output_always_validates(k, n, m, partial, cut, seed):
 def test_perturbed_category_has_its_own_view(ref_market):
     cm = ref_market.categories[0]
     original = cm.ranks[PATIENT]
-    out = perturb_preferences(ref_market, PerturbationSpec(PATIENT, 1.0, 3)).categories[0]
+    out = perturb_preferences(ref_market, PATIENT, 1.0, 3).categories[0]
     assert out.patient_prefs != cm.patient_prefs
     assert out.ranks[PATIENT] is not original
     for row, table in zip(out.patient_prefs, out.ranks[PATIENT]):

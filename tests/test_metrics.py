@@ -5,7 +5,6 @@ import pytest
 from conftest import REF_DOCTOR_RANKINGS, REF_PATIENT_RANKINGS, scores
 from medmatch import (
     Matching,
-    PerturbationSpec,
     eta_zeta,
     find_blocking_pairs,
     generate_random_market,
@@ -125,25 +124,31 @@ def test_mean_ordering_tomhecs_vs_ramhecs():
     assert zeta_t / trials >= zeta_r / trials
 
 
-@pytest.mark.parametrize("case", ["negative_ordinal", "off_roster", "other_rosters"])
+@pytest.mark.parametrize(
+    "case", ["negative_ordinal", "off_roster", "unknown_category", "other_rosters"]
+)
 def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
     cm = ref_market.categories[0]
     rosters = (cm.patient_hospitals, cm.doctor_hospitals)
     pairs = {(0, 2), (1, 0)}
+    category, refusal = 0, r"unknown agents \(patient"
     if case == "negative_ordinal":
         # Index -1 would silently read the last patient, p4.
         pairs.add((-1, 3))
     elif case == "off_roster":
         pairs.add((2, 4))
+    elif case == "unknown_category":
+        # Pairs for a category the rosters do not cover.
+        category, refusal = 1, r"^matching references unknown agents \(category 1 has no rosters\)$"
     else:
         # Same lengths, other agents: the default hospitals differ from
         # ref_market's, though every pair is in range.
         other = market_from_rankings(REF_PATIENT_RANKINGS, REF_DOCTOR_RANKINGS)
         rosters = (other.categories[0].patient_hospitals, other.categories[0].doctor_hospitals)
     if case != "other_rosters":
-        # An ordinal off the rosters is refused where the matching is built.
-        with pytest.raises(ValueError, match=r"unknown agents \(patient"):
-            Matching.from_pairs({0: rosters}, {0: pairs})
+        # An ordinal or category off the rosters is refused where the matching is built.
+        with pytest.raises(ValueError, match=refusal):
+            Matching.from_pairs({0: rosters}, {category: pairs})
         return
     # A matching on other rosters is refused where it is scored.
     matching = Matching.from_pairs({0: rosters}, {0: pairs})
@@ -164,7 +169,7 @@ def test_hand_built_pairs_that_are_not_a_matching_are_refused(ref_market, case):
 
 
 def test_matching_on_a_with_prefs_copy_scores_on_the_original(ref_market):
-    perturbed = perturb_preferences(ref_market, PerturbationSpec(PATIENT, 1.0, seed=3))
+    perturbed = perturb_preferences(ref_market, PATIENT, 1.0, seed=3)
     assert perturbed.categories[0].patient_prefs != ref_market.categories[0].patient_prefs
     matching, _ = tomhecs(perturbed, PATIENT)
     cm = ref_market.categories[0]

@@ -1,27 +1,71 @@
-"""tools/workcount.py counts the same work twice on the same op."""
+"""tools/workcount.py counts the same work twice on the same op, and a
+change to one function shows in that function's counts alone."""
 
+import ast
 import platform
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import medmatch
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "workcount.py"
+# The medmatch under test, whether from src/ or installed.
+SRC = Path(medmatch.__file__).resolve().parents[1]
 
 
-def test_workcount_repeats_its_counts():
-    # The medmatch under test, whether from src/ or installed.
-    src = Path(medmatch.__file__).resolve().parents[1]
+def workcount(src: Path):
+    """Run the tool on paper_grid's op 0 with medmatch from src; return op
+    0's (opcodes, C calls) and the per-function table, name -> that pair."""
     argv = [sys.executable, str(TOOL), "--workload", "paper_grid", "--ops", "1", "--src", str(src)]
-    counts = []
-    for _ in range(2):
-        done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        lines = done.stdout.splitlines()
-        assert lines[0].startswith(f"python {platform.python_version()} ")
-        assert lines[0].endswith(f"medmatch from {src / 'medmatch'}")
-        counts.append(re.fullmatch(r"op 0: (\d+) opcodes, (\d+) C calls", lines[2]).groups())
-    assert counts[0] == counts[1]
-    assert all(int(count) > 0 for count in counts[0])
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    # Exit 0: every op still matched its recorded digest.
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith(f"python {platform.python_version()} ")
+    assert lines[0].endswith(f"medmatch from {src / 'medmatch'}")
+    op = tuple(map(int, re.fullmatch(r"op 0: (\d+) opcodes, (\d+) C calls", lines[2]).groups()))
+    table = lines.index("per function: opcodes, C calls")
+    functions = {}
+    for line in lines[table + 1 :]:
+        name, opcodes, calls = line.split()
+        functions[name] = (int(opcodes), int(calls))
+    return op, functions
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return workcount(SRC)
+
+
+def test_workcount_repeats_its_counts(baseline):
+    assert workcount(SRC) == baseline
+    assert all(count > 0 for count in baseline[0])
+
+
+def test_workcount_shows_a_no_op_loop_in_its_function_alone(baseline, tmp_path):
+    shutil.copytree(SRC / "medmatch", tmp_path / "medmatch",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    metrics = tmp_path / "medmatch" / "metrics.py"
+    lines = metrics.read_text().splitlines(keepends=True)
+    func = next(node for node in ast.parse("".join(lines)).body
+                if isinstance(node, ast.FunctionDef) and node.name == "eta_zeta")
+    # At the top of the body, after the docstring: bytecode with no call.
+    first = func.body[0]
+    at = first.end_lineno if ast.get_docstring(func) else first.lineno - 1
+    lines[at:at] = ["    i = 0\n", "    while i < 3:\n", "        i += 1\n"]
+    metrics.write_text("".join(lines))
+
+    _, functions = workcount(tmp_path)
+    _, before = baseline
+    # Same functions, same C calls in each.
+    assert {name: calls for name, (_, calls) in functions.items()} == {
+        name: calls for name, (_, calls) in before.items()
+    }
+    changed = {name for name in before if functions[name][0] != before[name][0]}
+    assert changed == {"metrics.eta_zeta"}
+    assert functions["metrics.eta_zeta"][0] > before["metrics.eta_zeta"][0]
