@@ -176,24 +176,24 @@ class CategoryMarket:
         return self.patient_prefs if side == PATIENT else self.doctor_prefs
 
     @cached_property
-    def ranks(self) -> dict[str, list[array | list[int | None]]]:
+    def ranks(self) -> dict[str, list[array | list[int]]]:
         """Per side, ranks[side][agent][counterpart]: the counterpart's
-        0-based rank on the agent's list, None when unlisted. A row whose
-        list covers the whole opposite roster (of at most 65,536) holds no
-        None and is an array("H") of 2-byte ranks; any other row is a
-        list. Both read the same by subscript. Each side's table is built
-        on its first lookup and cached on this category object. A copy made
-        by with_prefs shares the unchanged side's table; tables are never
-        mutated.
+        0-based rank on the agent's list or, when unlisted, the row's width
+        (the opposite roster's size). A row whose list covers the whole
+        opposite roster (of at most 65,536) is an array("H") of 2-byte
+        ranks; any other row is a list. Both read the same by subscript.
+        Each side's table is built on its first lookup and cached on this
+        category object. A copy made by with_prefs shares the unchanged
+        side's table; tables are never mutated.
 
-        A table is read only to compare two counterparts on one agent's
-        list or to test whether a counterpart is listed: by the receivers
-        in tomhecs_category and oracle._gale_shapley, by ramhecs_category's
-        partial-list branch, and by the doctors in the blocking scan and
-        the stable-matching enumerator. An agent's rank of its own partner
-        is the partner's position on its list (metrics.partner_ranks), read
-        without a table, so a patient-proposing run builds only the
-        doctors' table.
+        A table is read only by one `<` that compares two counterparts on
+        one agent's list, or one with the width to test that it is listed:
+        by the receivers in tomhecs_category and oracle._gale_shapley, by
+        ramhecs_category's partial-list branch, and by the doctors in the
+        blocking scan and the stable-matching enumerator. An agent's rank of
+        its own partner is the partner's position on its list
+        (metrics.partner_ranks), read without a table, so a
+        patient-proposing run builds only the doctors' table.
         """
         return _RankTables(
             {side: (self.prefs(side), len(self.hospitals(opposite(side)))) for side in SIDES}
@@ -216,7 +216,8 @@ class CategoryMarket:
 
 
 class _RankTables(dict):
-    """Side -> rank table, each built on its first lookup.
+    """Side -> rank table, each built on its first lookup. Every entry is
+    an int: a row ranks an unlisted counterpart at its width.
 
     A side's source is its lists and their width or, for the side a
     with_prefs copy shares, the original's _RankTables, where the lookup
@@ -229,7 +230,7 @@ class _RankTables(dict):
         super().__init__()
         self._sources = sources
 
-    def __missing__(self, side: str) -> list[array | list[int | None]]:
+    def __missing__(self, side: str) -> list[array | list[int]]:
         source = self._sources[side]
         if isinstance(source, _RankTables):
             table = self[side] = source[side]
@@ -244,7 +245,7 @@ class _RankTables(dict):
         pack = Struct(f"{width}H").pack if width <= 1 << 16 else None
         tables = []
         for row in prefs:
-            table = [None] * width
+            table = [width] * width
             for rank, counterpart in zip(ints, row):
                 table[counterpart] = rank
             if pack is not None and len(row) == width:

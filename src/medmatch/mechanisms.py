@@ -82,7 +82,7 @@ class Matching(namedtuple("Matching", "rosters by_category")):
     def from_pairs(cls, rosters: dict, pairs_by_category: dict) -> Matching:
         """The matching of (patient ordinal, doctor ordinal) pairs per
         category. Raises ValueError for a category without rosters, or an
-        ordinal off the category's rosters or in two pairs.
+        ordinal not an int, off the category's rosters or in two pairs.
         """
         by_category = {}
         for category, pairs in pairs_by_category.items():
@@ -94,9 +94,9 @@ class Matching(namedtuple("Matching", "rosters by_category")):
             patient = [None] * n
             pairs = set(pairs)
             for i, j in pairs:
-                if not (0 <= i < n and 0 <= j < m):
+                if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < m):
                     raise ValueError(
-                        f"matching references unknown agents (patient {i}, doctor {j})"
+                        f"matching references unknown agents (patient {i!r}, doctor {j!r})"
                     )
                 patient[i] = j
             doctor = invert(patient, m)
@@ -176,9 +176,7 @@ def ramhecs_category(
         if full:
             c = left
         else:
-            candidates = [
-                d for d in row if free[d] and (everyone or doctor_ranks[d][t] is not None)
-            ]
+            candidates = [d for d in row if free[d] and (everyone or doctor_ranks[d][t] < n)]
             c = len(candidates)
         if not c:
             # Exhausted patient: stays permanently unmatched.
@@ -207,9 +205,10 @@ def tomhecs_category(
 
     Every free proposer proposes to its most-preferred counterpart not yet
     approached; each counterpart keeps the best proposer it has seen (per
-    its own list) and rejects the rest. A proposer absent from the
-    counterpart's list is rejected immediately. Terminates when no free
-    proposer has a counterpart left to approach.
+    its own list) and rejects the rest: it keeps its holder's rank, its
+    row's width while it holds no one, and takes a proposer ranked lower.
+    An unlisted proposer ranks at the width, so is rejected immediately.
+    Terminates when no free proposer has a counterpart left to approach.
 
     Each round is one pass: a proposal meets the receiver's current holder
     at once and the worse of the two is rejected. The last holder within a
@@ -246,10 +245,12 @@ def tomhecs_category(
         proposers = cm.roster(proposing_side)
         receivers = cm.roster(opposite(proposing_side))
 
-    next_choice = [0] * len(prefs)
+    width = len(prefs)
+    next_choice = [0] * width
     holder: list[int | None] = [None] * len(ranks)  # proposer held by receiver
+    held_rank = [width] * len(ranks)  # receiver's rank of its holder
 
-    free = [p for p in range(len(prefs)) if len(prefs[p])]
+    free = [p for p in range(width) if len(prefs[p])]
     rnd = 0
     while free:
         rnd += 1
@@ -263,21 +264,20 @@ def tomhecs_category(
             i = next_choice[p]
             r = row[i]
             next_choice[p] = i = i + 1
-            rank = ranks[r]
-            h = holder[r]
+            rank = ranks[r][p]
             if events is not None:
                 events.append(("propose", rnd, proposers[p], receivers[r]))
-                if rank[p] is None:
+                if rank == width:
                     events.append(("reject", rnd, proposers[p], receivers[r]))
                 else:
-                    offers.setdefault(r, [h]).append(p)
-            if rank[p] is None or h is not None and rank[h] < rank[p]:
-                if i < len(row):
-                    rejected.append(p)
-            else:
-                holder[r] = p
+                    offers.setdefault(r, [holder[r]]).append(p)
+            if rank < held_rank[r]:
+                h = holder[r]
+                holder[r], held_rank[r] = p, rank
                 if h is not None and next_choice[h] < len(prefs[h]):
                     rejected.append(h)
+            elif i < len(row):
+                rejected.append(p)
         if events is not None:
             for r, (start, *offered) in offers.items():
                 best = holder[r]

@@ -43,8 +43,8 @@ def _blocking_ordinals(
     for p, cutoff in enumerate(partner_ranks(cm, partners, PATIENT)):
         # Only doctors strictly above the current assignment can block.
         for d in patient_prefs[p][:cutoff]:
-            rank = doctor_ranks[d][p]
-            if rank is not None and rank < doctor_scores[d]:
+            # An unlisted p ranks at the width, never below d's score.
+            if doctor_ranks[d][p] < doctor_scores[d]:
                 yield p, d
 
 
@@ -67,9 +67,10 @@ def is_stable(cm: CategoryMarket, matching: Matching) -> bool:
 
 def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> dict[str, list[int | None]]:
     """Proposer-optimal stable matching by sequential deferred acceptance:
-    one free proposer at a time proposes down its list. Returns each agent's
-    partner ordinal per side, None when unmatched: the form of a mechanism's
-    result and of Matching.partners.
+    one free proposer at a time proposes down its list, and a receiver
+    takes it iff it ranks it below its holder, or below the width while it
+    holds no one. Returns each agent's partner ordinal per side, None when
+    unmatched: the form of a mechanism's result and of Matching.partners.
 
     Kept apart from tomhecs_category, so that the optimality verdict and the
     lattice the oracle walks never come from the mechanism it checks.
@@ -78,6 +79,7 @@ def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> dict[str, list[int
     prefs = cm.prefs(proposing_side)
     ranks = cm.ranks[receiving]
     holder: list[int | None] = [None] * len(ranks)
+    held_rank = [len(prefs)] * len(ranks)
     next_choice = [0] * len(prefs)
     free = list(range(len(prefs)))
     while free:
@@ -87,11 +89,9 @@ def _gale_shapley(cm: CategoryMarket, proposing_side: str) -> dict[str, list[int
             r = row[next_choice[p]]
             next_choice[p] += 1
             rank = ranks[r][p]
-            if rank is None:
-                continue
-            held = holder[r]
-            if held is None or rank < ranks[r][held]:
-                holder[r] = p
+            if rank < held_rank[r]:
+                held = holder[r]
+                holder[r], held_rank[r] = p, rank
                 if held is not None:
                     free.append(held)
                 break
@@ -132,8 +132,7 @@ def enumerate_stable_matchings(cm: CategoryMarket) -> list[Matching]:
             row = patient_prefs[p]
             for e in row[row.index(d) + 1 :]:
                 q = holder[e]
-                rank = doctor_ranks[e][p]
-                if q is not None and rank is not None and rank < doctor_ranks[e][q]:
+                if q is not None and doctor_ranks[e][p] < doctor_ranks[e][q]:
                     successor[p] = e
                     break
         # Each cycle of p -> holder[s(p)] is an exposed rotation; moving

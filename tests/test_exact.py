@@ -9,16 +9,25 @@ The same walk checks tomhecs from both proposing sides on every profile:
 it is the oracle's sequential deferred acceptance, it is stable, and its
 proposal counts have their exact mean and the worst case n^2 - n + 1
 (Gale & Shapley 1962; Knuth 1976).
+
+A second walk covers every 2x2, 2x3 and 3x2 category whose lists are any
+ordered subsets of the opposite roster, the empty list included: the
+markets where an unlisted counterpart's rank, the row width, decides
+whether a receiver accepts.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import sqrt
 from statistics import fmean, stdev
 
+import pytest
+
 from medmatch import DOCTOR, PATIENT, category_from_rankings, eta_zeta
 from medmatch.harness import ExperimentConfig, run_experiment
-from medmatch.mechanisms import tomhecs_category
+from medmatch.market import SIDES
+from medmatch.mechanisms import ramhecs_category, tomhecs_category
 from medmatch.oracle import _blocking_ordinals, _gale_shapley
 
 # Per category, under patient-proposing deferred acceptance: (E[eta], E[zeta]).
@@ -69,3 +78,40 @@ def test_harness_means_lie_within_three_standard_errors_of_the_exact_values():
             mean = fmean(values)
             std_error = stdev(values) / sqrt(len(values))
             assert abs(mean - expected) <= 3 * std_error, (side, name, mean, std_error)
+
+
+def ordered_subsets(width):
+    """Every list over width counterparts: each ordered subset, empty first."""
+    return [row for size in range(width + 1) for row in permutations(range(width), size)]
+
+
+@pytest.mark.parametrize("n, m, count", [(2, 2, 625), (2, 3, 32_000), (3, 2, 32_000)])
+def test_every_partial_category_of_small_rosters(n, m, count):
+    rng = random.Random(f"partial:{n}x{m}")
+    walked = 0
+    for lists in product(*[ordered_subsets(m)] * n, *[ordered_subsets(n)] * m):
+        cm = category_from_rankings(0, lists[:n], lists[n:])
+        by_side = []
+        for proposing_side in SIDES:
+            partners, _ = tomhecs_category(cm, proposing_side)
+            assert partners == _gale_shapley(cm, proposing_side), (lists, proposing_side)
+            assert not any(_blocking_ordinals(cm, partners)), (lists, proposing_side)
+            by_side.append(partners)
+        # Every stable matching leaves the same agents unmatched (Roth 1986).
+        unmatched = [{side: [r is None for r in p[side]] for side in SIDES} for p in by_side]
+        assert unmatched[0] == unmatched[1], lists
+        # Random pairing joins only mutually listed pairs, and is maximal:
+        # no mutually listed pair is left both unmatched.
+        partners, trace = ramhecs_category(cm, rng)
+        patient, doctor = partners[PATIENT], partners[DOCTOR]
+        assert all(
+            p in cm.doctor_prefs[d] for p, d in enumerate(patient) if d is not None
+        ), lists
+        assert not any(
+            patient[p] is None and doctor[d] is None and p in cm.doctor_prefs[d]
+            for p, row in enumerate(cm.patient_prefs)
+            for d in row
+        ), lists
+        assert trace.proposals == n - patient.count(None), lists
+        walked += 1
+    assert walked == count

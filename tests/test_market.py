@@ -518,9 +518,7 @@ def test_generator_output_always_validates(k, n, m, partial, cut, seed):
             assert len(prefs) == len(ranks) == len(cm.roster(side))
             for row, table in zip(prefs, ranks):
                 assert type(row) is tuple and all(type(e) is int for e in row)
-                assert list(table) == [
-                    row.index(c) if c in row else None for c in range(width)
-                ]
+                assert list(table) == rank_table(row, width)
                 assert type(table) is (array if len(row) == width else list)
 
 
@@ -539,7 +537,8 @@ def test_perturbed_category_has_its_own_view(ref_market):
 
 
 def rank_table(row, width):
-    return [row.index(c) if c in row else None for c in range(width)]
+    """A row's ranks by its list: an unlisted counterpart ranks at the width."""
+    return [row.index(c) if c in row else width for c in range(width)]
 
 
 @pytest.mark.parametrize("side", [PATIENT, DOCTOR])
@@ -596,7 +595,7 @@ def test_full_rows_are_packed_and_partial_rows_are_lists():
             if len(row) == width:
                 assert type(table) is array and table.itemsize == 2
             else:
-                assert type(table) is list and None in table
+                assert type(table) is list and width in table
 
 
 def test_rows_pack_up_to_width_65536():
@@ -606,7 +605,7 @@ def test_rows_pack_up_to_width_65536():
         tables = _RankTables({PATIENT: ((full, (0,)), width)})[PATIENT]
         assert type(tables[0]) is (array if packed else list)
         assert tables[0][0] == width - 1 and tables[0][width - 1] == 0
-        assert type(tables[1]) is list and tables[1][0] == 0 and tables[1][1] is None
+        assert type(tables[1]) is list and tables[1][0] == 0 and tables[1][1] == width
 
 
 def test_full_doctor_table_stays_small():

@@ -27,13 +27,14 @@ from medmatch.oracle import find_blocking_pairs
 def full_scan_deferred_acceptance(cm, proposing_side=PATIENT, events=None):
     """Reference batch deferred acceptance used to cross-check
     tomhecs_category: every round scans the whole proposer roster for the
-    free proposers. O(rounds x roster); same counters and events.
+    free proposers. O(rounds x roster); same counters and events. A
+    receiver reads its own list, never the rank table tomhecs_category reads.
     """
     proposals = rejections = rounds = 0
     proposers = cm.roster(proposing_side)
     receivers = cm.roster(opposite(proposing_side))
     prefs = cm.prefs(proposing_side)
-    ranks = cm.ranks[opposite(proposing_side)]
+    receiver_prefs = cm.prefs(opposite(proposing_side))
     next_choice = [0] * len(proposers)
     engaged_to = [None] * len(proposers)
     holder = [None] * len(receivers)
@@ -49,7 +50,7 @@ def full_scan_deferred_acceptance(cm, proposing_side=PATIENT, events=None):
             proposals += 1
             if events is not None:
                 events.append(("propose", rounds + 1, proposers[p], receivers[r]))
-            if ranks[r][p] is None:
+            if p not in receiver_prefs[r]:
                 rejections += 1
                 if events is not None:
                     events.append(("reject", rounds + 1, proposers[p], receivers[r]))
@@ -61,7 +62,7 @@ def full_scan_deferred_acceptance(cm, proposing_side=PATIENT, events=None):
         for r, candidates in offers.items():
             if holder[r] is not None:
                 candidates.append(holder[r])
-            best = min(candidates, key=ranks[r].__getitem__)
+            best = min(candidates, key=receiver_prefs[r].index)
             for c in candidates:
                 if c != best:
                     rejections += 1
@@ -92,12 +93,12 @@ def ordinal_partners(cm, pairs):
 def set_scan_ramhecs(cm, rng):
     """Reference randomized pairing used to cross-check ramhecs_category:
     every draw rebuilds the patient's candidate list by scanning its whole
-    list against a set of free doctors and the doctor rank table. O(n) per
+    list against a set of free doctors and the doctors' lists. O(n) per
     draw; same pairs, counters and RNG draws.
     """
     proposals = draws = 0
     prefs = cm.patient_prefs
-    doctor_ranks = cm.ranks[DOCTOR]
+    doctor_prefs = cm.doctor_prefs
     patients, doctors = cm.roster(PATIENT), cm.roster(DOCTOR)
     available = set(range(len(doctors)))
     active = list(range(len(patients)))
@@ -107,7 +108,7 @@ def set_scan_ramhecs(cm, rng):
         pos = rng.randrange(len(active))
         t = active[pos]
         candidates = [
-            d for d in prefs[t] if d in available and doctor_ranks[d][t] is not None
+            d for d in prefs[t] if d in available and t in doctor_prefs[d]
         ]
         if not candidates:
             active.pop(pos)
@@ -396,11 +397,11 @@ def test_tomhecs_matches_full_scan_reference(lists, side):
         assert tomhecs_category(cm, side) == expected[:2], (n, m, seed)
         # A round that brings one receiver two acceptable offers is where a
         # one-pass loop would emit a transient hold.
-        ranks = cm.ranks[opposite(side)]
+        receiver_prefs = cm.prefs(opposite(side))
         offers = Counter(
             (rnd, r.ordinal)
             for kind, rnd, p, r in ref_events
-            if kind == "propose" and ranks[r.ordinal][p.ordinal] is not None
+            if kind == "propose" and p.ordinal in receiver_prefs[r.ordinal]
         )
         crowded += max(offers.values(), default=0) >= 2
     assert unequal >= 80 and crowded >= 40, (unequal, crowded)

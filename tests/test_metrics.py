@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -124,8 +125,19 @@ def test_mean_ordering_tomhecs_vs_ramhecs():
     assert zeta_t / trials >= zeta_r / trials
 
 
+# Ordinals of another type: True would silently read patient 1, and the
+# others raised a bare TypeError.
+NOT_INT = {
+    "bool_ordinal": (True, 0),
+    "float_ordinal": (1.0, 0),
+    "str_ordinal": (0, "1"),
+    "none_ordinal": (0, None),
+}
+
+
 @pytest.mark.parametrize(
-    "case", ["negative_ordinal", "off_roster", "unknown_category", "other_rosters"]
+    "case",
+    ["negative_ordinal", "off_roster", *NOT_INT, "unknown_category", "other_rosters"],
 )
 def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
     cm = ref_market.categories[0]
@@ -137,6 +149,12 @@ def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
         pairs.add((-1, 3))
     elif case == "off_roster":
         pairs.add((2, 4))
+    elif case in NOT_INT:
+        # Beside one good pair of other agents; (True, 0) == (1, 0), so the
+        # set above would swallow it.
+        pairs = {(2, 3), NOT_INT[case]}
+        message = "matching references unknown agents (patient {!r}, doctor {!r})"
+        refusal = "^" + re.escape(message.format(*NOT_INT[case])) + "$"
     elif case == "unknown_category":
         # Pairs for a category the rosters do not cover.
         category, refusal = 1, r"^matching references unknown agents \(category 1 has no rosters\)$"

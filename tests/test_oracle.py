@@ -61,9 +61,8 @@ def brute_force_stable_matchings(cm):
     when it has no blocking pair. Factorial-time; small rosters only.
     """
     n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
-    doctor_ranks = cm.ranks[DOCTOR]
     mutual = [
-        sorted(d for d in row if doctor_ranks[d][p] is not None)
+        sorted(d for d in row if p in cm.doctor_prefs[d])
         for p, row in enumerate(cm.patient_prefs)
     ]
     # Grown patient by patient; -1 marks an unmatched patient.
@@ -486,7 +485,7 @@ def immediate_acceptance(cm, proposing_side=PATIENT, events=None, *, prefs=None)
     proposals = rounds = 0
     if prefs is None:
         prefs = cm.prefs(proposing_side)
-    ranks = cm.ranks[opposite(proposing_side)]
+    receiver_prefs = cm.prefs(opposite(proposing_side))
     next_choice = [0] * len(prefs)
     held = {}  # receiver -> the proposer it accepted
     free = [p for p in range(len(prefs)) if len(prefs[p])]
@@ -497,13 +496,13 @@ def immediate_acceptance(cm, proposing_side=PATIENT, events=None, *, prefs=None)
             r = prefs[p][next_choice[p]]
             next_choice[p] += 1
             proposals += 1
-            if r not in held and ranks[r][p] is not None:
+            if r not in held and p in receiver_prefs[r]:
                 offers.setdefault(r, []).append(p)
         for r, proposers in offers.items():
-            held[r] = min(proposers, key=ranks[r].__getitem__)
+            held[r] = min(proposers, key=receiver_prefs[r].index)
         accepted = set(held.values())
         free = [p for p in free if p not in accepted and next_choice[p] < len(prefs[p])]
-    partner, holder = [None] * len(prefs), [None] * len(ranks)
+    partner, holder = [None] * len(prefs), [None] * len(receiver_prefs)
     for r, p in held.items():
         partner[p], holder[r] = r, p
     trace = CategoryTrace(cm.category, proposals, outer_iterations=rounds)
