@@ -48,20 +48,15 @@ def estimate_first_pick_distance(
     return _summarize(samples)
 
 
-def estimate_total_distance(
-    n: int, trials: int, seed: int | str = 0, model: str = "mechanism"
-) -> EstimateResult:
-    """Sample mean of the total original-list distance over all n patients.
+def estimate_total_distance(n: int, trials: int, seed: int | str = 0) -> EstimateResult:
+    """Sample mean of the total original-list distance over all n patients;
+    converges to lemma 5's n(n-1)/2.
 
-    model="mechanism" runs the randomized mechanism (ramhecs_category) on
-    random full balanced preference profiles (random patient order, random
-    still-available listed doctor), scoring each patient by the chosen
-    doctor's index in that patient's original list. model="stylized" draws
-    the pick index uniformly over the remaining-list length instead.
+    Runs ramhecs_category (random patient order, random still-available
+    listed doctor) on random full balanced preference profiles, scoring
+    each patient by its partner's index on its original list.
     """
     _check_counts(n=n, trials=trials)
-    if model not in ("mechanism", "stylized"):
-        raise ValueError(f"unknown model {model!r}")
     from .mechanisms import ramhecs_category
     from .metrics import partner_ranks
 
@@ -70,9 +65,6 @@ def estimate_total_distance(
     samples = []
     doctors = list(range(n))
     for _ in range(trials):
-        if model == "stylized":
-            samples.append(sum(rng.randrange(n - i) for i in range(n)))
-            continue
         prefs = [sample(doctors, n) for _ in range(n)]
         # Every doctor lists every patient, so only the patients' lists
         # constrain the mechanism, which continues the same RNG stream and

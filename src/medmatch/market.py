@@ -5,10 +5,11 @@ patient ranks some (or all) of the doctors and each doctor ranks some (or
 all) of the patients. Each list is stored once, as opposite-roster
 ordinals, best first, and matchings pair ordinals too. Besides its list,
 an agent has only a hospital label, held at its ordinal in its side's
-label tuple; `AgentId`s are built from those on demand, for trace events,
-reports, messages and the JSON wire format. All types are immutable after
-construction: `Market` is a named tuple; `AgentId` and `CategoryMarket`
-are plain classes that refuse assignment.
+label tuple. An `AgentId`, an agent's side, category and ordinal, is built
+on demand by `CategoryMarket.roster` (trace events, oracle reports),
+`Matching.pairs` (the saved-matchings file) and validation messages. All
+types are immutable after construction: `Market` is a named tuple;
+`AgentId` and `CategoryMarket` are plain classes that refuse assignment.
 
 Random lists are drawn by `_sampler(rng)`, whose `sample(population, k)`
 makes the same `rng.getrandbits` calls as the standard library's
@@ -81,25 +82,23 @@ def _read_only(self, name, *value):
 
 
 class AgentId:
-    """Identity of one patient or doctor within a market.
-
-    The hospital label is opaque metadata and never influences matching.
-    Immutable; equal and hashed by its four fields, and never equal to a
+    """Identity of one patient or doctor within a market: its side,
+    category and ordinal; its hospital label is cm.hospitals(side)[ordinal].
+    Immutable; equal and hashed by its three fields, and never equal to a
     tuple of them.
     """
 
-    __slots__ = ("side", "category", "ordinal", "hospital")
+    __slots__ = ("side", "category", "ordinal")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, side: str, category: int, ordinal: int, hospital: str = ""):
+    def __init__(self, side: str, category: int, ordinal: int):
         init = object.__setattr__
         init(self, "side", side)
         init(self, "category", category)
         init(self, "ordinal", ordinal)
-        init(self, "hospital", hospital)
 
     def _key(self) -> tuple:
-        return (self.side, self.category, self.ordinal, self.hospital)
+        return (self.side, self.category, self.ordinal)
 
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is AgentId else NotImplemented
@@ -167,10 +166,7 @@ class CategoryMarket:
 
     def roster(self, side: str) -> tuple[AgentId, ...]:
         """The side's agents as AgentIds, built anew on each call."""
-        return tuple(
-            AgentId(side, self.category, a, hospital)
-            for a, hospital in enumerate(self.hospitals(side))
-        )
+        return tuple(AgentId(side, self.category, a) for a in range(len(self.hospitals(side))))
 
     def prefs(self, side: str) -> tuple[tuple[int, ...], ...]:
         return self.patient_prefs if side == PATIENT else self.doctor_prefs
@@ -264,7 +260,7 @@ def _check_prefs(cm: CategoryMarket, side: str, mode: str, out: list[str]) -> No
     size, width = len(cm.hospitals(side)), len(cm.hospitals(opposite(side)))
 
     def agent(a: int, of: str = side) -> AgentId:
-        # Built only to word a violation; its repr shows no hospital.
+        # Built only to word a violation.
         return AgentId(of, cm.category, a)
 
     for a, label in enumerate(cm.hospitals(side)):

@@ -31,10 +31,17 @@ TOMHECS = "tomhecs"
 MECHANISMS = (RAMHECS, TOMHECS)
 
 
-# One category's counters, set once when its mechanism run ends.
 CategoryTrace = namedtuple(
-    "CategoryTrace", "category proposals rejections outer_iterations", defaults=(0, 0, 0)
+    "CategoryTrace", "proposals rejections outer_iterations", defaults=(0, 0, 0)
 )
+CategoryTrace.__doc__ = """One category's counters, set once when its mechanism
+run ends; its category is its position in TraceStats.per_category.
+
+Under ramhecs, proposals is the matched count, rejections is always 0 and
+outer_iterations is the number of patients drawn, always n. Under tomhecs,
+proposals is every proposal made, rejections is proposals less the matched
+count and outer_iterations is the number of rounds.
+"""
 
 
 class TraceStats(namedtuple("TraceStats", "per_category events", defaults=(None,))):
@@ -81,24 +88,31 @@ class Matching(namedtuple("Matching", "rosters by_category")):
     @classmethod
     def from_pairs(cls, rosters: dict, pairs_by_category: dict) -> Matching:
         """The matching of (patient ordinal, doctor ordinal) pairs per
-        category. Raises ValueError for a category without rosters, or an
-        ordinal not an int, off the category's rosters or in two pairs.
+        category. Raises ValueError for a category without rosters or whose
+        pairs are not iterable, a pair not a 2-tuple, or an ordinal not an
+        int, off the category's rosters or in two pairs.
         """
         by_category = {}
         for category, pairs in pairs_by_category.items():
+            unknown = f"matching references unknown agents (category {category}"
             if category not in rosters:
-                raise ValueError(
-                    f"matching references unknown agents (category {category} has no rosters)"
-                )
+                raise ValueError(f"{unknown} has no rosters)")
             n, m = map(len, rosters[category])
             patient = [None] * n
-            pairs = set(pairs)
-            for i, j in pairs:
+            try:
+                pairs = list(pairs)
+            except TypeError:
+                raise ValueError(f"{unknown}: its pairs are not iterable)") from None
+            for pair in pairs:
+                if type(pair) is not tuple or len(pair) != 2:
+                    raise ValueError(f"matching references unknown agents (pair {pair!r})")
+                i, j = pair
                 if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < m):
                     raise ValueError(
                         f"matching references unknown agents (patient {i!r}, doctor {j!r})"
                     )
                 patient[i] = j
+            pairs = set(pairs)
             doctor = invert(patient, m)
             # Each pair fills one slot per side unless an ordinal repeats.
             if not len(pairs) == n - patient.count(None) == m - doctor.count(None):
@@ -109,9 +123,8 @@ class Matching(namedtuple("Matching", "rosters by_category")):
         return cls(rosters, by_category)
 
     def pairs(self, category: int) -> frozenset[tuple[AgentId, AgentId]]:
-        patients, doctors = self.rosters[category]
         return frozenset(
-            (AgentId(PATIENT, category, i, patients[i]), AgentId(DOCTOR, category, j, doctors[j]))
+            (AgentId(PATIENT, category, i), AgentId(DOCTOR, category, j))
             for i, j in enumerate(self.by_category[category][PATIENT])
             if j is not None
         )
@@ -150,8 +163,7 @@ def ramhecs_category(
     Each draw below a count c is written out as the standard library's
     rejection loop on rng.getrandbits(c.bit_length()), the one draw that
     both rng.randrange(c) and rng.choice of c items make, so the RNG stream
-    is theirs. Every patient is drawn exactly once, so the counters are set
-    at the end: proposals is the matched count and outer_iterations is n.
+    is theirs.
     """
     n, m = len(cm.patient_hospitals), len(cm.doctor_hospitals)
     prefs = cm.patient_prefs
@@ -190,7 +202,7 @@ def ramhecs_category(
         free[d] = 0
         left -= 1
     matched = n - partner.count(None)
-    trace = CategoryTrace(cm.category, proposals=matched, outer_iterations=n)
+    trace = CategoryTrace(matched, outer_iterations=n)
     return {PATIENT: partner, DOCTOR: invert(partner, m)}, trace
 
 
@@ -220,10 +232,9 @@ def tomhecs_category(
     rather than O(rounds x roster). The proposers' partners are the
     inverse of the receivers' final holders, taken once at the end.
 
-    The counters are set once, at the end, too. Every proposal ends either
-    as a final hold or rejected exactly once, so proposals is the sum of
-    the proposers' list positions reached, rejections is proposals less
-    the matched count, and outer_iterations is the number of rounds.
+    The counters are set once, at the end, too: proposals is the sum of the
+    proposers' list positions reached, and every proposal ends either as a
+    final hold or rejected exactly once.
 
     events, when given, are still emitted as the end-of-round resolution
     emits them: each propose, and any immediate reject, as it is made;
@@ -291,7 +302,7 @@ def tomhecs_category(
 
     proposals = sum(next_choice)
     matched = len(holder) - holder.count(None)
-    trace = CategoryTrace(cm.category, proposals, proposals - matched, rnd)
+    trace = CategoryTrace(proposals, proposals - matched, rnd)
     return {proposing_side: invert(holder, len(prefs)), opposite(proposing_side): holder}, trace
 
 

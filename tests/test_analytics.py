@@ -132,20 +132,11 @@ def test_total_distance_exact_small_cases():
     assert abs(result.mean - expected) <= tolerance
 
 
-def test_total_distance_stylized_model():
-    # Stylized draw: sum over i of U{0..n-i-1}; mean n(n-1)/4.
-    n = 8
-    result = estimate_total_distance(n, trials=50_000, seed=3, model="stylized")
-    assert abs(result.mean - n * (n - 1) / 4) <= 3 * result.std_error
-
-
 def test_total_distance_errors():
     with pytest.raises(ValueError, match="^n must be >= 1$"):
         estimate_total_distance(0, 10)
     with pytest.raises(ValueError, match="^trials must be >= 1$"):
         estimate_total_distance(4, 0)
-    with pytest.raises(ValueError):
-        estimate_total_distance(4, 10, model="other")
 
 
 def test_geometric_rejections_p_zero():

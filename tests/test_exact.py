@@ -14,6 +14,12 @@ A second walk covers every 2x2, 2x3 and 3x2 category whose lists are any
 ordered subsets of the opposite roster, the empty list included: the
 markets where an unlisted counterpart's rank, the row width, decides
 whether a receiver accepts.
+
+Both walks check the two ends of the lattice of stable matchings on every
+category: the enumeration contains the patient-optimal and the
+doctor-optimal matchings, and every stable matching gives each agent a
+partner between its partners in those two (Knuth 1976). They also count
+the categories with more than one stable matching.
 """
 
 import random
@@ -26,9 +32,10 @@ import pytest
 
 from medmatch import DOCTOR, PATIENT, category_from_rankings, eta_zeta
 from medmatch.harness import ExperimentConfig, run_experiment
-from medmatch.market import SIDES
+from medmatch.market import SIDES, opposite
 from medmatch.mechanisms import ramhecs_category, tomhecs_category
-from medmatch.oracle import _blocking_ordinals, _gale_shapley
+from medmatch.metrics import partner_ranks
+from medmatch.oracle import _blocking_ordinals, _gale_shapley, enumerate_stable_matchings
 
 # Per category, under patient-proposing deferred acceptance: (E[eta], E[zeta]).
 EXACT = {
@@ -40,24 +47,47 @@ EXACT = {
 PROPOSALS = (Fraction(35, 8), 3 * 3 - 3 + 1)
 
 
+def stable_matching_count(cm, optimal):
+    """The number of cm's stable matchings, checked against the lattice's
+    two ends: optimal[side] is side's optimal matching, and every agent's
+    partner rank lies between its ranks in its side's and the other's."""
+    stable = [matching.by_category[cm.category] for matching in enumerate_stable_matchings(cm)]
+    assignments = [partners[PATIENT] for partners in stable]
+    assert all(optimal[side][PATIENT] in assignments for side in SIDES)
+    bounds = {
+        side: (partner_ranks(cm, optimal[side], side),
+               partner_ranks(cm, optimal[opposite(side)], side))
+        for side in SIDES
+    }
+    for partners in stable:
+        for side, (best, worst) in bounds.items():
+            ranks = partner_ranks(cm, partners, side)
+            assert all(map(int.__le__, best, ranks)) and all(map(int.__le__, ranks, worst))
+    return len(stable)
+
+
 def test_exact_expectations_on_every_full_3x3_category():
     totals = {side: [0, 0] for side in EXACT}
     proposals = {side: [] for side in (PATIENT, DOCTOR)}
-    count = 0
+    count = several = 0
     for lists in product(permutations(range(3)), repeat=6):
         cm = category_from_rankings(0, lists[:3], lists[3:])
+        optimal = {}
         for proposing_side, counts in proposals.items():
             partners, trace = tomhecs_category(cm, proposing_side)
             assert partners == _gale_shapley(cm, proposing_side), (lists, proposing_side)
             assert not any(_blocking_ordinals(cm, partners)), (lists, proposing_side)
+            optimal[proposing_side] = partners
             counts.append(trace.proposals)
             if proposing_side == PATIENT:
                 for side, total in totals.items():
                     eta, zeta = eta_zeta(cm, partners, side)
                     total[0] += eta
                     total[1] += zeta
+        several += stable_matching_count(cm, optimal) > 1
         count += 1
     assert count == 46_656
+    assert several == 12_576
     assert {side: (Fraction(eta, count), Fraction(zeta, count))
             for side, (eta, zeta) in totals.items()} == EXACT
     assert {side: (Fraction(sum(counts), count), max(counts))
@@ -85,21 +115,27 @@ def ordered_subsets(width):
     return [row for size in range(width + 1) for row in permutations(range(width), size)]
 
 
+# Per (n, m): the number of partial categories with more than one stable matching.
+SEVERAL = {(2, 2): 2, (2, 3): 240, (3, 2): 240}
+
+
 @pytest.mark.parametrize("n, m, count", [(2, 2, 625), (2, 3, 32_000), (3, 2, 32_000)])
 def test_every_partial_category_of_small_rosters(n, m, count):
     rng = random.Random(f"partial:{n}x{m}")
-    walked = 0
+    walked = several_seen = 0
     for lists in product(*[ordered_subsets(m)] * n, *[ordered_subsets(n)] * m):
         cm = category_from_rankings(0, lists[:n], lists[n:])
-        by_side = []
+        optimal = {}
         for proposing_side in SIDES:
             partners, _ = tomhecs_category(cm, proposing_side)
             assert partners == _gale_shapley(cm, proposing_side), (lists, proposing_side)
             assert not any(_blocking_ordinals(cm, partners)), (lists, proposing_side)
-            by_side.append(partners)
+            optimal[proposing_side] = partners
         # Every stable matching leaves the same agents unmatched (Roth 1986).
-        unmatched = [{side: [r is None for r in p[side]] for side in SIDES} for p in by_side]
+        unmatched = [{side: [r is None for r in p[side]] for side in SIDES}
+                     for p in optimal.values()]
         assert unmatched[0] == unmatched[1], lists
+        several_seen += stable_matching_count(cm, optimal) > 1
         # Random pairing joins only mutually listed pairs, and is maximal:
         # no mutually listed pair is left both unmatched.
         partners, trace = ramhecs_category(cm, rng)
@@ -115,3 +151,4 @@ def test_every_partial_category_of_small_rosters(n, m, count):
         assert trace.proposals == n - patient.count(None), lists
         walked += 1
     assert walked == count
+    assert several_seen == SEVERAL[n, m]

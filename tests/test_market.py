@@ -45,6 +45,7 @@ from medmatch.harness import ExperimentConfig, run_experiment
 from medmatch.mechanisms import (
     RAMHECS,
     TOMHECS,
+    CategoryTrace,
     Matching,
     ramhecs_category,
     run_categories,
@@ -342,9 +343,9 @@ def reference_violations(market):
         for side in (PATIENT, DOCTOR):
             roster, prefs = cm.roster(side), cm.prefs(side)
             counterparts = cm.roster(opposite(side))
-            for agent in roster:
-                if not isinstance(agent.hospital, str):
-                    out.append(f"{agent!r}: hospital label {agent.hospital!r} is not a str")
+            for agent, label in zip(roster, cm.hospitals(side)):
+                if not isinstance(label, str):
+                    out.append(f"{agent!r}: hospital label {label!r} is not a str")
             if len(prefs) != len(roster):
                 out.append(
                     f"category {cm.category}: {len(roster)} {side}s but "
@@ -664,19 +665,13 @@ def test_packed_rows_read_like_list_rows():
 
 
 def test_agent_id_is_an_immutable_value():
-    agent = AgentId(PATIENT, 0, 0, "h1")
-    twin = AgentId(PATIENT, 0, 0, "h1")
+    agent = AgentId(PATIENT, 0, 0)
+    twin = AgentId(PATIENT, 0, 0)
     assert agent == twin and hash(agent) == hash(twin) and len({agent, twin}) == 1
-    assert AgentId(DOCTOR, 2, 4) == AgentId(DOCTOR, 2, 4, "")
-    for other in (
-        AgentId(DOCTOR, 0, 0, "h1"),
-        AgentId(PATIENT, 1, 0, "h1"),
-        AgentId(PATIENT, 0, 1, "h1"),
-        AgentId(PATIENT, 0, 0, "h2"),
-    ):
+    for other in (AgentId(DOCTOR, 0, 0), AgentId(PATIENT, 1, 0), AgentId(PATIENT, 0, 1)):
         assert agent != other
     # Never equal to the tuple of its fields, from either side.
-    fields = (PATIENT, 0, 0, "h1")
+    fields = (PATIENT, 0, 0)
     assert agent != fields and fields != agent
     assert fields not in {agent} and agent not in {fields}
     for name in ("side", "category", "ordinal", "hospital", "label", "extra"):
@@ -684,10 +679,39 @@ def test_agent_id_is_an_immutable_value():
             setattr(agent, name, 1)
     with pytest.raises(AttributeError):
         del agent.ordinal
-    assert (agent.side, agent.category, agent.ordinal, agent.hospital) == fields
+    assert (agent.side, agent.category, agent.ordinal) == fields
+    # The hospital label is stored in the category only.
+    assert not hasattr(agent, "hospital")
     assert repr(agent) == "<p1@c0>" and repr(AgentId(DOCTOR, 2, 4)) == "<d5@c2>"
     for twin in (pickle.loads(pickle.dumps(agent)), deepcopy(agent)):
-        assert type(twin) is AgentId and twin == agent and twin.hospital == "h1"
+        assert type(twin) is AgentId and twin == agent
+
+
+def test_one_agent_has_one_agent_id():
+    # Category 1 has labels, p1 and d1 both rank each other first, and the
+    # hand-built matching pairs them apart: (p1, d1) blocks it.
+    rankings = ([[0, 1], [0, 1]], [[0, 1], [0, 1]])
+    market = Market(tuple(category_from_rankings(c, *rankings) for c in (0, 1)), FULL)
+    cm = market.categories[1]
+    assert cm.hospitals(PATIENT) == ("h1", "h2") and cm.hospitals(DOCTOR) == ("H1", "H2")
+    patient, doctor = AgentId(PATIENT, 1, 0), AgentId(DOCTOR, 1, 0)
+    matching, stats = tomhecs(market, record_trace=True)
+    crossed = Matching.from_pairs(matching.rosters, {1: [(0, 1), (1, 0)]})
+    (blocking,) = find_blocking_pairs(cm, crossed)
+    proposers = [check_truthfulness_exhaustive(cm, side)[0].proposer for side in SIDES]
+    # The category's first event: p1 proposes to d1.
+    first_event = next(event for event in stats.events if event[2].category == 1)
+    found = {
+        "roster": (cm.roster(PATIENT)[0], cm.roster(DOCTOR)[0]),
+        "pairs": min(matching.pairs(1), key=lambda pair: pair[0].ordinal),
+        "tomhecs event": first_event[2:],
+        "find_blocking_pairs": tuple(blocking),
+        "check_truthfulness_exhaustive": tuple(proposers),
+    }
+    for source, pair in found.items():
+        assert pair == (patient, doctor), source
+        assert tuple(map(hash, pair)) == (hash(patient), hash(doctor)), source
+    assert CategoryTrace._fields == ("proposals", "rejections", "outer_iterations")
 
 
 def test_category_equality_compares_its_fields_not_its_tables():
@@ -875,8 +899,12 @@ def reference_store_market(market):
         categories.append(
             {
                 "index": cm.category,
-                "patients": [{"id": a.label, "hospital": a.hospital} for a in patients],
-                "doctors": [{"id": a.label, "hospital": a.hospital} for a in doctors],
+                "patients": [
+                    {"id": a.label, "hospital": h} for a, h in zip(patients, cm.hospitals(PATIENT))
+                ],
+                "doctors": [
+                    {"id": a.label, "hospital": h} for a, h in zip(doctors, cm.hospitals(DOCTOR))
+                ],
                 "patient_prefs": {
                     a.label: [doctors[e].label for e in row]
                     for a, row in zip(patients, cm.patient_prefs)

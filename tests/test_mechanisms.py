@@ -79,7 +79,7 @@ def full_scan_deferred_acceptance(cm, proposing_side=PATIENT, events=None):
         for p, r in enumerate(engaged_to)
         if r is not None
     ]
-    return frozenset(pairs), CategoryTrace(cm.category, proposals, rejections, rounds)
+    return frozenset(pairs), CategoryTrace(proposals, rejections, rounds)
 
 
 def ordinal_partners(cm, pairs):
@@ -118,7 +118,7 @@ def set_scan_ramhecs(cm, rng):
         pairs.append((patients[t], doctors[d]))
         active.pop(pos)
         available.remove(d)
-    return frozenset(pairs), CategoryTrace(cm.category, proposals, 0, draws)
+    return frozenset(pairs), CategoryTrace(proposals, 0, draws)
 
 
 def test_tomhecs_reference_final_matching(ref_market):

@@ -134,10 +134,20 @@ NOT_INT = {
     "none_ordinal": (0, None),
 }
 
+# Pairs that are not 2-tuples, and pairs that are not iterable: each raised
+# a TypeError, or Python's own unpacking message.
+MALFORMED = {
+    "list_pair": ([[0, 1]], "(pair [0, 1])"),
+    "int_pair": ([1], "(pair 1)"),
+    "none_pair": ([None], "(pair None)"),
+    "short_pair": ([(0,)], "(pair (0,))"),
+    "pairs_not_iterable": (5, "(category 0: its pairs are not iterable)"),
+}
+
 
 @pytest.mark.parametrize(
     "case",
-    ["negative_ordinal", "off_roster", *NOT_INT, "unknown_category", "other_rosters"],
+    ["negative_ordinal", "off_roster", *NOT_INT, *MALFORMED, "unknown_category", "other_rosters"],
 )
 def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
     cm = ref_market.categories[0]
@@ -155,6 +165,9 @@ def test_hand_built_matching_off_the_category_is_refused(ref_market, case):
         pairs = {(2, 3), NOT_INT[case]}
         message = "matching references unknown agents (patient {!r}, doctor {!r})"
         refusal = "^" + re.escape(message.format(*NOT_INT[case])) + "$"
+    elif case in MALFORMED:
+        pairs, shown = MALFORMED[case]
+        refusal = "^" + re.escape(f"matching references unknown agents {shown}") + "$"
     elif case == "unknown_category":
         # Pairs for a category the rosters do not cover.
         category, refusal = 1, r"^matching references unknown agents \(category 1 has no rosters\)$"

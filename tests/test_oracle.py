@@ -505,7 +505,7 @@ def immediate_acceptance(cm, proposing_side=PATIENT, events=None, *, prefs=None)
     partner, holder = [None] * len(prefs), [None] * len(receiver_prefs)
     for r, p in held.items():
         partner[p], holder[r] = r, p
-    trace = CategoryTrace(cm.category, proposals, outer_iterations=rounds)
+    trace = CategoryTrace(proposals, outer_iterations=rounds)
     return {proposing_side: partner, opposite(proposing_side): holder}, trace
 
 

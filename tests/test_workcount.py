@@ -18,23 +18,28 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "workcount.py"
 SRC = Path(medmatch.__file__).resolve().parents[1]
 
 
-def workcount(src: Path):
-    """Run the tool on paper_grid's op 0 with medmatch from src; return op
-    0's (opcodes, C calls) and the per-function table, name -> that pair."""
-    argv = [sys.executable, str(TOOL), "--workload", "paper_grid", "--ops", "1", "--src", str(src)]
+def workcount(src: Path, workload: str = "paper_grid", ops: int = 1):
+    """Run the tool on the workload's first ops ops with medmatch from src;
+    return each op's (opcodes, C calls) and the per-function table, name ->
+    that pair."""
+    argv = [sys.executable, str(TOOL), "--workload", workload, "--ops", str(ops),
+            "--src", str(src)]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     # Exit 0: every op still matched its recorded digest.
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith(f"python {platform.python_version()} ")
     assert lines[0].endswith(f"medmatch from {src / 'medmatch'}")
-    op = tuple(map(int, re.fullmatch(r"op 0: (\d+) opcodes, (\d+) C calls", lines[2]).groups()))
+    counts = [
+        tuple(map(int, re.fullmatch(rf"op {i}: (\d+) opcodes, (\d+) C calls", line).groups()))
+        for i, line in enumerate(lines[2 : 2 + ops])
+    ]
     table = lines.index("per function: opcodes, C calls")
     functions = {}
     for line in lines[table + 1 :]:
         name, opcodes, calls = line.split()
         functions[name] = (int(opcodes), int(calls))
-    return op, functions
+    return counts, functions
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +47,14 @@ def baseline():
     return workcount(SRC)
 
 
-def test_workcount_repeats_its_counts(baseline):
-    assert workcount(SRC) == baseline
-    assert all(count > 0 for count in baseline[0])
+# oracle_check's ops store markets with store_market and check them with
+# `match check` after load_market.
+@pytest.mark.parametrize("workload, ops", [("paper_grid", 1), ("oracle_check", 3)],
+                         ids=["paper_grid", "oracle_check"])
+def test_workcount_repeats_its_counts(workload, ops):
+    counts, functions = workcount(SRC, workload, ops)
+    assert len(counts) == ops and all(count > 0 for op in counts for count in op)
+    assert workcount(SRC, workload, ops) == (counts, functions)
 
 
 def test_workcount_shows_a_no_op_loop_in_its_function_alone(baseline, tmp_path):
