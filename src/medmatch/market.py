@@ -274,21 +274,13 @@ def _check_prefs(cm: CategoryMarket, side: str, mode: str, out: list[str]) -> No
         return
     full = mode == FULL
     for a, row in enumerate(prefs):
-        # A sound list passes whole-row tests; only a faulty one is walked
-        # entry by entry, to word its faults.
-        if (
-            type(row) is tuple
-            and set(map(type, row)) <= {int}
-            and (not row or 0 <= min(row) and max(row) < width)
-            and len(set(row)) == len(row)
-            and (not full or len(row) == width)
-        ):
-            continue
         if not isinstance(row, tuple):
             out.append(f"{agent(a)!r}: preference list {row!r} is not a tuple")
             continue
         seen = set()
         for entry in row:
+            # An ordinal is an int but not a bool: IntEnum members pass, True
+            # does not.
             if not isinstance(entry, int) or isinstance(entry, bool):
                 out.append(f"{agent(a)!r}: entry {entry!r} is not an int ordinal")
             elif not 0 <= entry < width:

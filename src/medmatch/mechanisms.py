@@ -44,25 +44,11 @@ count and outer_iterations is the number of rounds.
 """
 
 
-class TraceStats(namedtuple("TraceStats", "per_category events", defaults=(None,))):
-    """A run's CategoryTrace per category, in category order, and, when
-    tracing is requested, its (kind, round, proposer, receiver) events;
-    kind is "propose", "hold", or "reject".
-    """
-
-    __slots__ = ()
-
-    @property
-    def proposals(self) -> int:
-        return sum(t.proposals for t in self.per_category)
-
-    @property
-    def rejections(self) -> int:
-        return sum(t.rejections for t in self.per_category)
-
-    @property
-    def outer_iterations(self) -> int:
-        return sum(t.outer_iterations for t in self.per_category)
+TraceStats = namedtuple("TraceStats", "per_category events", defaults=(None,))
+TraceStats.__doc__ = """A run's CategoryTrace per category, in category order,
+and, when tracing is requested, its (kind, round, proposer, receiver)
+events; kind is "propose", "hold", or "reject".
+"""
 
 
 def invert(partners: list[int | None], size: int) -> list[int | None]:

@@ -23,11 +23,6 @@ def partner_ranks(
     """
     lists = cm.prefs(side)
     try:
-        # One C-level pass; an unmatched agent (None) or an unlisted partner fails it.
-        return list(map(tuple.index, lists, partners[side]))
-    except ValueError:
-        pass
-    try:
         return [
             len(row) if partner is None else row.index(partner)
             for partner, row in zip(partners[side], lists)

@@ -8,6 +8,7 @@ import tracemalloc
 import weakref
 from array import array
 from copy import deepcopy
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,22 @@ def test_store_market_refuses_an_entry_that_is_not_an_int_ordinal(side, entry):
     assert validate_market(market) == [violation]
     with pytest.raises(ValueError, match=f"^{re.escape(violation)}$"):
         store_market(market)
+
+
+@pytest.mark.parametrize("side", [PATIENT, DOCTOR])
+def test_an_int_ordinal_may_be_an_int_subclass_but_not_a_bool(side):
+    # An entry is an ordinal when it is an int and not a bool, so a full
+    # list of IntEnum members is valid and True in its place is not.
+    Ordinal = IntEnum("Ordinal", "FIRST SECOND", start=0)
+    lists = {PATIENT: ((0, 1), (1, 0)), DOCTOR: ((0, 1), (1, 0))}
+    lists[side] = ((0, 1), (Ordinal.SECOND, Ordinal.FIRST))
+    cm = CategoryMarket(0, ("h1", "h2"), ("H1", "H2"), lists[PATIENT], lists[DOCTOR])
+    assert validate_market(Market((cm,), FULL)) == []
+    cm = cm.with_prefs(side, ((0, 1), (True, Ordinal.FIRST)))
+    assert validate_market(Market((cm,), FULL)) == [
+        f"{AgentId(side, 0, 1)!r}: entry True is not an int ordinal",
+        f"{AgentId(side, 0, 1)!r}: list covers 1 of 2 counterparts in full-preference mode",
+    ]
 
 
 @pytest.mark.parametrize("side", [PATIENT, DOCTOR])

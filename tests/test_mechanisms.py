@@ -129,7 +129,8 @@ def test_tomhecs_reference_final_matching(ref_market):
         ("p3", "d1"),
         ("p4", "d4"),
     ]
-    assert stats.rejections <= stats.proposals <= 16
+    (trace,) = stats.per_category
+    assert trace.rejections <= trace.proposals <= 16
 
 
 def test_tomhecs_first_round_rejection(ref_market):
@@ -152,7 +153,7 @@ def test_tomhecs_is_deterministic(ref_market):
     a, sa = tomhecs(ref_market, PATIENT)
     b, sb = tomhecs(ref_market, PATIENT)
     assert a == b
-    assert sa.proposals == sb.proposals and sa.rejections == sb.rejections
+    assert sa.per_category == sb.per_category
 
 
 def test_single_pair_market_forced_outcome():
@@ -170,8 +171,9 @@ def test_identity_market_mutual_first_choices():
     market = market_from_rankings(rankings, rankings)
     matching, stats = tomhecs(market, PATIENT)
     assert labels(matching.pairs(0)) == [(f"p{i+1}", f"d{i+1}") for i in range(n)]
-    assert stats.rejections == 0
-    assert stats.outer_iterations == 1
+    (trace,) = stats.per_category
+    assert trace.rejections == 0
+    assert trace.outer_iterations == 1
 
 
 def test_ramhecs_is_deterministic(ref_market):
@@ -225,7 +227,8 @@ def test_tomhecs_partial_lists_leave_exhausted_proposers_unmatched():
     market = market_from_rankings([[0], [0]], [[0, 1]], mode="partial")
     matching, stats = tomhecs(market, PATIENT)
     assert labels(matching.pairs(0)) == [("p1", "d1")]
-    assert stats.rejections == 1
+    (trace,) = stats.per_category
+    assert trace.rejections == 1
 
 
 def test_tomhecs_rejects_proposer_absent_from_receiver_list():
@@ -233,7 +236,8 @@ def test_tomhecs_rejects_proposer_absent_from_receiver_list():
     market = market_from_rankings([[0, 1], [0]], [[0], [1, 0]], mode="partial")
     matching, stats = tomhecs(market, PATIENT)
     assert labels(matching.pairs(0)) == [("p1", "d1")]
-    assert stats.rejections == 1  # p2's proposal to d1 bounces immediately
+    (trace,) = stats.per_category
+    assert trace.rejections == 1  # p2's proposal to d1 bounces immediately
 
 
 # Two hand-built partial markets, each shaped the same from both sides, with
@@ -350,7 +354,7 @@ def test_proposal_bound_random_markets():
     for seed in range(30):
         market = generate_random_market(2, 7, 5, seed=seed)
         _, stats = tomhecs(market, PATIENT)
-        assert stats.proposals <= 2 * 7 * 5
+        assert sum(t.proposals for t in stats.per_category) <= 2 * 7 * 5
 
 
 def test_invalid_market_is_rejected(ref_market):
