@@ -22,9 +22,6 @@ from types import SimpleNamespace
 
 from .market import (
     FORMATS,
-    FULL,
-    MODES,
-    PARTIAL,
     PATIENT,
     PRESET_PROBABILITIES,
     SIDES,
@@ -66,7 +63,6 @@ _FIELDS = {
     "k": _Field(10, (int,)),
     "n_patients": _Field(20, (int,)),
     "n_doctors": _Field(20, (int,)),
-    "mode": _Field(FULL, (str,), MODES, "mode"),
     "list_length": _Field(None, (int, type(None))),
     "mechanisms": _Field(("ramhecs", "tomhecs"), (list,), MECHANISMS, "mechanism"),
     "proposing_side": _Field(PATIENT, (str,), SIDES, "proposing side"),
@@ -137,15 +133,11 @@ class ExperimentConfig(SimpleNamespace):
                     raise ConfigError(f"config field {name!r} repeats {value!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        # An unknown mode is neither, and is reported below.
-        if self.mode == PARTIAL and self.list_length is None:
-            raise ConfigError("partial mode requires list_length")
-        if self.mode == FULL and self.list_length is not None:
-            raise ConfigError("list_length is only meaningful in partial mode")
+        # list_length null means full lists; an int, partial lists that long.
         length = self.list_length
-        if self.mode == PARTIAL and length < 0:
+        if length is not None and length < 0:
             raise ConfigError(f"config field 'list_length' must be non-negative, not {length!r}")
-        if self.mode == PARTIAL and length > min(self.n_patients, self.n_doctors):
+        if length is not None and length > min(self.n_patients, self.n_doctors):
             raise ConfigError(
                 "config field 'list_length' must not exceed a roster size "
                 f"({self.n_patients} patients, {self.n_doctors} doctors), not {length!r}"
@@ -242,7 +234,7 @@ def _run_repetition(
                             zeta,
                             trace.proposals,
                             trace.rejections,
-                            matching.matched_count(cm.category),
+                            trace.proposals - trace.rejections,
                         )
                     )
 

@@ -40,7 +40,8 @@ run ends; its category is its position in TraceStats.per_category.
 Under ramhecs, proposals is the matched count, rejections is always 0 and
 outer_iterations is the number of patients drawn, always n. Under tomhecs,
 proposals is every proposal made, rejections is proposals less the matched
-count and outer_iterations is the number of rounds.
+count and outer_iterations is the number of rounds. So under both,
+proposals - rejections is the category's matched count.
 """
 
 
@@ -114,10 +115,6 @@ class Matching(namedtuple("Matching", "rosters by_category")):
             for i, j in enumerate(self.by_category[category][PATIENT])
             if j is not None
         )
-
-    def matched_count(self, category: int) -> int:
-        partners = self.by_category[category][PATIENT]
-        return len(partners) - partners.count(None)
 
     def partners(self, cm: CategoryMarket) -> dict[str, list[int | None]]:
         """Each agent's partner ordinal in category cm, per side; None when

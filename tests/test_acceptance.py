@@ -152,7 +152,7 @@ def test_c05_complexity_bounds(stability_sweep):
         m = n if i % 2 == 0 else rng.randint(2, 32)
         market = generate_random_market(1, n, m, seed=f"cx:{i}")
         matching, stats = ramhecs(market, seed=i)
-        assert matching.matched_count(0) == min(n, m)
+        assert len(matching.pairs(0)) == min(n, m)
         (trace,) = stats.per_category
         assert trace.proposals == min(n, m)
     report(5, "proposals <= k*n*m everywhere; randomized pairing count = min(n,m)")

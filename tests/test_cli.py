@@ -142,12 +142,13 @@ def test_run_rejects_a_repeated_grid_entry(tmp_path, capsys, doc, flags, field, 
 CONFIG_REFUSALS = [
     ([], "config must be a JSON object"),
     ({"bogus": 1}, "unknown config keys: ['bogus']"),
+    # mode is no config field: list_length alone picks full or partial lists.
+    ({"mode": "partial"}, "unknown config keys: ['mode']"),
     ({"k": "3"}, "config field 'k' must be an integer, not '3'"),
     ({"k": True}, "config field 'k' must be an integer, not True"),
     ({"n_patients": 2.5}, "config field 'n_patients' must be an integer, not 2.5"),
     ({"repetitions": 2.5}, "config field 'repetitions' must be an integer, not 2.5"),
     ({"n_doctors": None}, "config field 'n_doctors' must be an integer, not None"),
-    ({"mode": 1}, "config field 'mode' must be a string, not 1"),
     ({"list_length": "2"},
      "config field 'list_length' must be an integer or null, not '2'"),
     ({"mechanisms": "tomhecs"},
@@ -181,12 +182,8 @@ CONFIG_REFUSALS = [
      "config field 'measured_sides' repeats 'doctor'"),
     ({"presets": ["none", "none"]}, "config field 'presets' repeats 'none'"),
     ({"repetitions": 0}, "repetitions must be >= 1"),
-    ({"mode": "sparse"}, "unknown mode 'sparse'"),
-    ({"mode": "partial"}, "partial mode requires list_length"),
-    ({"list_length": 2}, "list_length is only meaningful in partial mode"),
-    ({"mode": "partial", "list_length": -1},
-     "config field 'list_length' must be non-negative, not -1"),
-    ({"mode": "partial", "list_length": 30},
+    ({"list_length": -1}, "config field 'list_length' must be non-negative, not -1"),
+    ({"list_length": 30},
      "config field 'list_length' must not exceed a roster size (20 patients, 20 doctors), not 30"),
     ({"mechanisms": ["foo"]}, "unknown mechanism 'foo'"),
     ({"proposing_side": "nurse"}, "unknown proposing side 'nurse'"),
@@ -194,6 +191,8 @@ CONFIG_REFUSALS = [
     ({"presets": ["huge"]}, "unknown variation preset 'huge'"),
     ({"deviating_party": "both"}, "unknown deviating party 'both'"),
     ({"fmt": "xml"}, "unknown output format 'xml'"),
+    # A list_length without a mode is no fault: it picks partial lists.
+    ({"list_length": 2, "fmt": "xml"}, "unknown output format 'xml'"),
     # Two faults: the first rule in the order above is the one reported.
     ({"k": "3", "bogus": 1}, "unknown config keys: ['bogus']"),
     ({"seed": [1], "k": "3"}, "config field 'seed' must be an integer or a string, not [1]"),
@@ -210,11 +209,10 @@ CONFIG_REFUSALS = [
     ({"mechanisms": ["foo", "foo"]}, "config field 'mechanisms' repeats 'foo'"),
     ({"presets": ["huge", "none", "none"], "mechanisms": ["foo"]},
      "config field 'presets' repeats 'none'"),
-    ({"mode": "sparse", "repetitions": 0}, "repetitions must be >= 1"),
-    ({"mode": "sparse", "list_length": 2}, "unknown mode 'sparse'"),
-    ({"mode": "partial", "mechanisms": ["foo"]}, "partial mode requires list_length"),
-    ({"list_length": 2, "fmt": "xml"}, "list_length is only meaningful in partial mode"),
-    ({"mode": "partial", "list_length": 5, "n_doctors": 4, "mechanisms": ["foo"]},
+    ({"list_length": -1, "repetitions": 0}, "repetitions must be >= 1"),
+    ({"list_length": -1, "mechanisms": ["foo"]},
+     "config field 'list_length' must be non-negative, not -1"),
+    ({"list_length": 5, "n_doctors": 4, "mechanisms": ["foo"]},
      "config field 'list_length' must not exceed a roster size (20 patients, 4 doctors), not 5"),
     ({"mechanisms": ["foo"], "proposing_side": "nurse"}, "unknown mechanism 'foo'"),
     ({"proposing_side": "nurse", "measured_sides": ["nurse"]},

@@ -33,7 +33,6 @@ CASES = {
             k=3,
             n_patients=6,
             n_doctors=5,
-            mode="partial",
             list_length=3,
             proposing_side="doctor",
             seed=12,

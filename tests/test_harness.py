@@ -59,12 +59,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(presets=("huge",)).validate()
     with pytest.raises(ConfigError):
-        small_config(mode="partial").validate()  # needs list_length
-    with pytest.raises(ConfigError):
-        small_config(list_length=2).validate()  # full mode forbids it
+        small_config(list_length=5).validate()  # longer than a roster
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"bogus_key": 1})
-    small_config(mode="partial", list_length=2).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"mode": "partial"})  # list_length decides
+    small_config(list_length=2).validate()
     # Every field has a JSON type, and the defaults as JSON pass it.
     defaults = json.loads(json.dumps(config_fields(ExperimentConfig())))
     assert ExperimentConfig.from_dict(defaults) == ExperimentConfig()
@@ -127,7 +127,7 @@ MISTYPED_KEYWORDS = [
     ({"seed": 1.5}, "config field 'seed' must be an integer or a string, not 1.5"),
     ({"save_matchings": 1}, "config field 'save_matchings' must be a boolean, not 1"),
     ({"k": True}, "config field 'k' must be an integer, not True"),
-    ({"mode": "partial", "list_length": 30},
+    ({"list_length": 30},
      "config field 'list_length' must not exceed a roster size (4 patients, 4 doctors), not 30"),
 ]
 
@@ -152,7 +152,26 @@ def test_single_rep_matches_direct_calls():
         assert row.eta == eta_by_cat[row.category]
         assert row.zeta == zeta_by_cat[row.category]
         assert row.proposals == stats.per_category[row.category].proposals
-        assert row.matched_count == matching.matched_count(row.category)
+        assert row.matched_count == len(matching.pairs(row.category))
+
+
+@pytest.mark.parametrize("proposing_side", [PATIENT, DOCTOR])
+@pytest.mark.parametrize("shape", [(4, 4, None), (6, 5, 3)], ids=["full-4x4", "partial-6x5"])
+def test_matched_count_is_proposals_less_rejections(shape, proposing_side):
+    # Each row's matched_count is read from its category's counters, never
+    # counted on the matching; it must still be the number of pairs.
+    n_patients, n_doctors, list_length = shape
+    config = small_config(
+        k=3, n_patients=n_patients, n_doctors=n_doctors, list_length=list_length,
+        mechanisms=("ramhecs", "tomhecs"), proposing_side=proposing_side,
+        measured_sides=(PATIENT, DOCTOR), presets=("none", "large"), repetitions=3,
+        save_matchings=True,
+    )
+    result = run_experiment(config)
+    assert len(result.rows) == 3 * 2 * 2 * 2 * 3
+    for row in result.rows:
+        matching = result.matchings[(row.rep, row.mechanism, row.preset)]
+        assert row.matched_count == len(matching.pairs(row.category))
 
 
 def test_run_experiment_does_not_validate(monkeypatch):

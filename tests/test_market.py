@@ -808,7 +808,6 @@ def test_patient_proposing_paths_build_no_patient_table(monkeypatch, tmp_path, l
         k=1,
         n_patients=8,
         n_doctors=8,
-        mode=FULL if list_length is None else PARTIAL,
         list_length=list_length,
         mechanisms=(RAMHECS, TOMHECS),
         proposing_side=PATIENT,
@@ -846,7 +845,6 @@ def test_perturbed_receivers_build_no_proposer_table(monkeypatch, list_length):
         k=1,
         n_patients=8,
         n_doctors=8,
-        mode=FULL if list_length is None else PARTIAL,
         list_length=list_length,
         presets=("large",),
         deviating_party="requested",

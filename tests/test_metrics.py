@@ -260,7 +260,7 @@ def test_eta_zeta_matches_a_brute_force_scorer():
                 not row for row in cm.patient_prefs + cm.doctor_prefs
             )
             for matching in matchings:
-                seen["unmatched"] += matching.matched_count(cm.category) < len(
+                seen["unmatched"] += len(matching.pairs(cm.category)) < len(
                     cm.patient_hospitals
                 )
                 for side in (PATIENT, DOCTOR):

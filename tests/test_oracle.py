@@ -142,7 +142,7 @@ def test_tomhecs_output_has_no_blocking_pairs(ref_market, ref_category):
     assert find_blocking_pairs(ref_category, matching) == []
     assert is_stable(ref_category, matching)
     cm = ref_category
-    assert matching.matched_count(0) == len(cm.patient_hospitals) == len(cm.doctor_hospitals)
+    assert len(matching.pairs(0)) == len(cm.patient_hospitals) == len(cm.doctor_hospitals)
 
 
 def test_unstable_perfect_matching_is_flagged(ref_category):
@@ -157,7 +157,7 @@ def test_empty_matching_is_unstable(ref_category):
     matching = pair_up(ref_category, {})
     assert not is_stable(ref_category, matching)
     cm = ref_category
-    assert not matching.matched_count(0) == len(cm.patient_hospitals) == len(cm.doctor_hospitals)
+    assert not len(matching.pairs(0)) == len(cm.patient_hospitals) == len(cm.doctor_hospitals)
 
 
 def test_single_mutual_pair_is_stable():
@@ -165,7 +165,7 @@ def test_single_mutual_pair_is_stable():
     cm = market.categories[0]
     matching = pair_up(cm, {0: 0})
     assert is_stable(cm, matching)
-    assert matching.matched_count(0) == len(cm.patient_hospitals) == len(cm.doctor_hospitals)
+    assert len(matching.pairs(0)) == len(cm.patient_hospitals) == len(cm.doctor_hospitals)
     assert len(enumerate_stable_matchings(cm)) == 1
 
 
