@@ -15,12 +15,20 @@ roster size.
 Each command imports the modules it runs when it runs: start-up counts in a
 command's wall time, and `match check` needs neither the harness nor the
 estimators.
+
+`main` pauses the cyclic garbage collector while a command runs and then
+restores its setting. This is safe because medmatch's objects form no
+reference cycles, which tests/test_cli.py checks for every command. It
+spares the collector's scan of each new preference tuple, about 19 ms of
+a 353 ms `match run` on one 1024x1024 category with full lists. Library
+callers of `harness.run_experiment` keep their own collector setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -177,6 +185,12 @@ def cmd_analytics(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The collector pause (see the module docstring) is safe only while
+    # medmatch's objects form no reference cycles, so that reference
+    # counting frees them all; test_commands_leave_no_cyclic_garbage checks
+    # this for every command. The setting is restored whatever the exit.
+    collecting = gc.isenabled()
+    gc.disable()
     # CheckRefused, MarketFormatError, InvalidMarketError and ConfigError
     # are ValueErrors.
     try:
@@ -193,6 +207,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -401,14 +401,14 @@ def _sampler(rng: random.Random):
         if plan is not None:
             # Pool branch: each draw picks below the unselected prefix
             # pool[:last + 1] and swaps the pick into pool[last]. The picks
-            # fill the tail, last first.
+            # fill the tail, last first, so the sample is the tail reversed.
             pool = list(population)
             for bits, last in plan:
                 j = getrandbits(bits)
                 while j > last:
                     j = getrandbits(bits)
                 pool[j], pool[last] = pool[last], pool[j]
-            return tuple(pool[n - k :][::-1])
+            return tuple(pool[-1 : -k - 1 : -1])
         # Set branch: redraw an index below n until it is unselected.
         bits = n.bit_length()
         result = []

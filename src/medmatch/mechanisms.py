@@ -141,7 +141,7 @@ def ramhecs_category(
     stays unmatched for good when there is none. When every doctor lists
     every patient and the patient's list is full, the candidates are all
     `left` free doctors: the index is drawn first and the list is scanned
-    only up to it, without rank tables.
+    only up to it, from whichever end is nearer, without rank tables.
 
     Each draw below a count c is written out as the standard library's
     rejection loop on rng.getrandbits(c.bit_length()), the one draw that
@@ -180,7 +180,14 @@ def ramhecs_category(
         i = getrandbits(bits)
         while i >= c:
             i = getrandbits(bits)
-        d = next(islice(compress(row, map(is_free, row)), i, None)) if full else candidates[i]
+        if not full:
+            d = candidates[i]
+        elif 2 * i < c:
+            d = next(islice(compress(row, map(is_free, row)), i, None))
+        else:
+            # A full row holds exactly c free doctors: the i-th from the
+            # front is the (c - 1 - i)-th from the back.
+            d = next(islice(compress(reversed(row), map(is_free, reversed(row))), c - 1 - i, None))
         partner[t] = d
         free[d] = 0
         left -= 1

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import stat
@@ -11,6 +12,7 @@ from conftest import make_reference_market
 from medmatch import generate_random_market, store_market
 from medmatch import analytics, cli, harness, mechanisms
 from medmatch.cli import main
+from medmatch.market import CheckRefused
 
 
 @pytest.fixture
@@ -385,6 +387,100 @@ def test_analytics_out_of_memory(capsys, monkeypatch, message, printed):
     monkeypatch.setattr(analytics, "simulate_geometric_rejections", allocate)
     assert main(["analytics", "lemma6", "--n", "8", "--trials", "1000000000000"]) == 1
     assert capsys.readouterr() == ("", f"error: {printed}\n")
+
+
+@pytest.fixture
+def collector():
+    """Restore the cyclic collector's setting after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "raised, code",
+    [(None, 0), (harness.ConfigError("bad"), 1), (OSError("disk full"), 2),
+     (CheckRefused("too large"), 3)],
+    ids=["exit-0", "exit-1", "exit-2", "exit-3"],
+)
+def test_main_pauses_and_restores_the_collector(
+    config_file, monkeypatch, capsys, collector, raised, code, enabled
+):
+    run_experiment = harness.run_experiment
+    seen = []
+
+    def run(config):
+        seen.append(gc.isenabled())
+        if raised is not None:
+            raise raised
+        return run_experiment(config)
+
+    monkeypatch.setattr(harness, "run_experiment", run)
+    (gc.enable if enabled else gc.disable)()
+    assert main(["run", "--config", config_file, "--out", os.devnull]) == code
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+    # Parsing runs before the pause: a usage error leaves the setting alone.
+    with pytest.raises(SystemExit):
+        main(["run"])
+    assert gc.isenabled() is enabled
+
+
+def cyclic_garbage(argv):
+    """Run `match argv` with the collector off and return the number of
+    unreachable objects it then finds. A first run imports what the command
+    needs, so the count holds the command's own objects alone."""
+    main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+    finally:
+        found = gc.collect()
+        gc.enable()
+    return found
+
+
+GRID = {"k": 2, "n_patients": 4, "n_doctors": 4, "mechanisms": ["ramhecs", "tomhecs"],
+        "measured_sides": ["patient", "doctor"], "presets": ["none", "small"],
+        "repetitions": 2, "seed": 7}
+
+
+def grid_config(tmp_path, name, **changes):
+    """Write GRID with changes to tmp_path/name.json; return its path."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**GRID, **changes}))
+    return str(path)
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, market_file, capsys, collector):
+    full = grid_config(tmp_path, "full")
+    partial = grid_config(tmp_path, "partial", n_doctors=5, list_length=3,
+                          proposing_side="doctor")
+    refused = tmp_path / "six.json"
+    refused.write_bytes(store_market(generate_random_market(1, 6, 6, seed=0)))
+    out = str(tmp_path / "results.csv")
+    commands = [
+        ["run", "--config", full, "--out", out],
+        ["run", "--config", partial, "--out", out],
+        *(["check", prop, "--market", market_file]
+          for prop in ("stability", "optimality", "truthfulness")),
+        ["check", "truthfulness", "--market", str(refused)],
+        ["check", "stability", "--market", str(tmp_path / "missing.json")],
+        ["analytics", "lemma4", "--n", "8", "--trials", "100"],
+        ["analytics", "lemma5", "--n", "8", "--trials", "100"],
+        ["analytics", "lemma6", "--n", "8", "--trials", "100"],
+    ]
+    assert {" ".join(argv): cyclic_garbage(argv) for argv in commands} == {
+        " ".join(argv): 0 for argv in commands
+    }
+    # The stdlib's json.dumps(indent=2) leaves one closure cycle per call:
+    # JSON rows and saved matchings each make one call, however many rows.
+    matchings = grid_config(tmp_path, "matchings", save_matchings=True)
+    for argv in (["run", "--config", full, "--out", out, "--format", "json"],
+                 ["run", "--config", matchings, "--out", out]):
+        assert cyclic_garbage([*argv, "--reps", "1"]) == cyclic_garbage([*argv, "--reps", "3"])
 
 
 # Runs in a fresh interpreter, since this one has already imported every

@@ -79,3 +79,15 @@ def test_workcount_shows_a_no_op_loop_in_its_function_alone(baseline, tmp_path):
     changed = {name for name in before if functions[name][0] != before[name][0]}
     assert changed == {"metrics.eta_zeta"}
     assert functions["metrics.eta_zeta"][0] > before["metrics.eta_zeta"][0]
+
+
+def test_workcount_stops_quietly_when_its_reader_closes_the_pipe():
+    argv = [sys.executable, str(TOOL), "--workload", "oracle_check", "--ops", "1",
+            "--src", str(SRC)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        # Closed before the tool's first write reaches the pipe.
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr, stderr

@@ -165,4 +165,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # A reader that closes the pipe early (say `| head`) ends the run
+    # quietly, as the `signal` module's documentation shows: stdout goes to
+    # devnull so that the interpreter's own final flush cannot fail again.
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
